@@ -1,16 +1,13 @@
-//! Per-kernel element throughput of the SIMD key-kernel layer
+//! Per-kernel element throughput of the key-kernel layer
 //! (`lapushdb::engine::kernels`): pack, run detection, gather, galloping
 //! advance, and the independent-OR fold, each timed over synthetic
 //! columnar batches of n = 10⁴ and 10⁶ rows (10⁵ at `--quick`).
 //!
 //! `cargo run --release -p lapush-bench --bin fig_kernels [--quick|--full]`
 //!
-//! The report records the resolved `kernels_path` parameter (like every
-//! bench report), exact result values for each kernel (sums/counts over
-//! seeded inputs — any drift is correctness, not noise), and a checksum
-//! of the fold outputs. Rerunning under `LAPUSH_KERNELS=scalar` must
-//! reproduce every value and checksum bit-for-bit; `bench-diff
-//! --cross-kernels` gates exactly that in CI.
+//! The report records exact result values for each kernel (sums/counts
+//! over seeded inputs — any drift is correctness, not noise) and a
+//! checksum of the fold outputs.
 
 use lapush_bench::report::Metric;
 use lapush_bench::{checksum_f64s, print_table, scale, Bench, Scale};
@@ -18,7 +15,7 @@ use lapushdb::engine::kernels::{self, Key};
 use lapushdb::storage::Vid;
 
 /// Deterministic 64-bit mix (splitmix64 finalizer) — seeded input data,
-/// identical on every machine and path.
+/// identical on every machine.
 fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -84,11 +81,6 @@ fn main() {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(","),
-    );
-    println!(
-        "kernel path: {} (requested: {})",
-        kernels::active().name(),
-        kernels::requested_mode()
     );
 
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -171,10 +163,7 @@ fn main() {
     }
 
     print_table(
-        &format!(
-            "Kernel throughput, path={} (k elems/ms)",
-            kernels::active().name()
-        ),
+        "Kernel throughput (k elems/ms)",
         &["n", "pack", "run_detect", "gather", "gallop", "fold"],
         &rows,
     );

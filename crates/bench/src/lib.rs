@@ -118,11 +118,6 @@ impl Bench {
         // across thread counts (parallelism must never silently explain a
         // timing delta).
         report.param("threads", threads());
-        // The resolved SIMD kernel path, making every artifact
-        // self-describing: `bench-diff` refuses cross-path comparisons
-        // unless `--cross-kernels` waives the refusal (the kernel
-        // determinism gate — checksums must still agree exactly).
-        report.param("kernels_path", lapushdb::engine::kernels::active().name());
         Bench {
             report,
             spec: MeasureSpec::for_scale(scale),

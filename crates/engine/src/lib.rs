@@ -37,9 +37,7 @@
 //! allocates per row (see [`rel`] for the full contract). The
 //! data-parallel inner loops — key packing, run-boundary detection,
 //! permutation gathers, galloping merge advance, and the score folds —
-//! are routed through the runtime-dispatched SIMD kernel layer
-//! ([`kernels`]; `LAPUSH_KERNELS=scalar|sse2|avx2` overrides the
-//! dispatch, and every path produces byte-identical results).
+//! live in one scalar kernel layer ([`kernels`]).
 //!
 //! ## Morsel parallelism
 //!

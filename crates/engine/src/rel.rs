@@ -547,15 +547,11 @@ fn merge_into<T: Copy + Ord>(a: &[T], b: &[T], out: &mut [T]) {
 /// Natural join of two intermediate relations; scores multiply
 /// (independent-AND). Joins on all shared variables; preserves left column
 /// order, then right-only columns.
-pub fn join(left: &Rel, right: &Rel) -> Rel {
-    join_par(left, right, Par::serial(), &mut Scratch::default())
-}
-
-/// [`join`] with a parallelism budget and reusable scratch: a sort-merge
-/// join. Each input is brought into join-key order (free when the key is a
-/// column prefix — the canonical sort then already is key order), matching
-/// key blocks are enumerated by a linear merge, and the cross product of
-/// each block pair is emitted. Large outputs are partitioned by key range
+///
+/// A sort-merge join. Each input is brought into join-key order (free when
+/// the key is a column prefix — the canonical sort then already is key
+/// order), matching key blocks are enumerated by a linear merge, and the
+/// cross product of each block pair is emitted. Large outputs are partitioned by key range
 /// (whole blocks, never splitting one) across pool tasks writing
 /// disjoint output ranges.
 pub fn join_par(left: &Rel, right: &Rel, par: Par, scratch: &mut Scratch) -> Rel {
@@ -788,29 +784,11 @@ fn block_cmp(
     std::cmp::Ordering::Equal
 }
 
-/// Join many relations. Children are folded left-to-right after a greedy
-/// reordering that keeps the accumulated result connected (avoids cartesian
-/// products when possible) and starts from the smallest input. When no
-/// remaining input shares a variable with the accumulator (a cartesian
-/// product is unavoidable), the smallest remaining relation is taken to
-/// keep the blow-up minimal.
-pub fn join_many(mut inputs: Vec<Rel>) -> Rel {
-    assert!(!inputs.is_empty(), "join of zero inputs");
-    if inputs.len() == 1 {
-        return inputs.pop().expect("one element");
-    }
-    let refs: Vec<&Rel> = inputs.iter().collect();
-    join_many_refs(&refs)
-}
-
-/// [`join_many`] over borrowed inputs (the evaluator shares children
-/// through its memo caches and must not clone them to join).
-pub fn join_many_refs(inputs: &[&Rel]) -> Rel {
-    join_many_par(inputs, Par::serial(), &mut Scratch::default())
-}
-
-/// [`join_many_refs`] with a parallelism budget and reusable scratch: fold
-/// the inputs pairwise along the greedy [`join_order`].
+/// Join many relations, folded pairwise along the greedy [`join_order`]:
+/// the accumulated result stays connected (avoids cartesian products when
+/// possible) and starts from the smallest input. Inputs are borrowed —
+/// the evaluator shares children through its memo caches and must not
+/// clone them to join.
 pub fn join_many_par(inputs: &[&Rel], par: Par, scratch: &mut Scratch) -> Rel {
     assert!(!inputs.is_empty(), "join of zero inputs");
     if inputs.len() == 1 {
@@ -1039,33 +1017,18 @@ fn project_fold_impl(
 /// Probabilistic projection with duplicate elimination: group by `keep`
 /// columns, combine group members with independent-OR
 /// (`1 − ∏(1 − pᵢ)`).
-pub fn project_prob(input: &Rel, keep: &[Var]) -> Rel {
-    project_prob_par(input, keep, Par::serial(), &mut Scratch::default())
-}
-
-/// [`project_prob`] with a parallelism budget and reusable scratch.
 pub fn project_prob_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratch) -> Rel {
     project_fold(input, keep, ProjFold::IndependentOr, par, scratch)
 }
 
 /// Max-projection: group by `keep`, keep the maximum score per group.
 /// Used by the lower-bound semantics: `P(⋁ᵢ eᵢ) ≥ maxᵢ P(eᵢ)`.
-pub fn project_max(input: &Rel, keep: &[Var]) -> Rel {
-    project_max_par(input, keep, Par::serial(), &mut Scratch::default())
-}
-
-/// [`project_max`] with a parallelism budget and reusable scratch.
 pub fn project_max_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratch) -> Rel {
     project_fold(input, keep, ProjFold::Max, par, scratch)
 }
 
 /// Deterministic projection: group by `keep`, score 1 for every surviving
 /// group (standard SQL `SELECT DISTINCT`).
-pub fn project_det(input: &Rel, keep: &[Var]) -> Rel {
-    project_det_par(input, keep, Par::serial(), &mut Scratch::default())
-}
-
-/// [`project_det`] with a parallelism budget and reusable scratch.
 pub fn project_det_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratch) -> Rel {
     project_fold(input, keep, ProjFold::One, par, scratch)
 }
@@ -1075,7 +1038,7 @@ pub fn project_det_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratc
 // ---------------------------------------------------------------------------
 
 /// Fold `next` into `acc` by per-tuple minimum, aligning `next`'s columns
-/// to `acc`'s order. The incremental form of [`min_combine`], used by
+/// to `acc`'s order. The incremental form of [`min_combine_par`], used by
 /// `propagation_score` to accumulate the min over plans.
 ///
 /// Both inputs are sorted, so this is a pointwise merge. When the key sets
@@ -1083,13 +1046,8 @@ pub fn project_det_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratc
 /// hot path — the merge runs **fully in place** on `acc`'s score column:
 /// no map, no fresh vector, not even a staging buffer. Keys present only
 /// in `next` are collected and merged in with one allocation per column.
-pub fn min_into(acc: &mut Rel, next: &Rel) {
-    min_into_par(acc, next, Par::serial(), &mut Scratch::default());
-}
-
-/// [`min_into`] with a parallelism budget and reusable scratch (the
-/// scratch is only touched when `next`'s column order differs from
-/// `acc`'s and a key re-sort is needed).
+/// The scratch is only touched when `next`'s column order differs from
+/// `acc`'s and a key re-sort is needed.
 pub fn min_into_par(acc: &mut Rel, next: &Rel, par: Par, scratch: &mut Scratch) {
     min_into_impl(acc, next, par, scratch, true);
 }
@@ -1200,17 +1158,7 @@ fn min_into_impl(acc: &mut Rel, next: &Rel, par: Par, scratch: &mut Scratch, kee
 /// (the `min` operator of Optimization 1). All inputs must have the same
 /// variables (column order may differ) and, for plans of the same query,
 /// the same key set.
-pub fn min_combine(inputs: &[Rel]) -> Rel {
-    let refs: Vec<&Rel> = inputs.iter().collect();
-    min_combine_refs(&refs)
-}
-
-/// [`min_combine`] over borrowed inputs.
-pub fn min_combine_refs(inputs: &[&Rel]) -> Rel {
-    min_combine_par(inputs, Par::serial(), &mut Scratch::default())
-}
-
-/// [`min_combine_refs`] with a parallelism budget and reusable scratch.
+///
 /// One clone of the first input seeds the accumulator; every following
 /// input folds in via the in-place [`min_into_par`].
 pub fn min_combine_par(inputs: &[&Rel], par: Par, scratch: &mut Scratch) -> Rel {
@@ -1390,7 +1338,7 @@ mod tests {
         // R(x=0, y=1) ⋈ S(y=1, z=2)
         let r = rel(&[0, 1], &[(&[1, 10], 0.5), (&[2, 20], 0.4)]);
         let s = rel(&[1, 2], &[(&[10, 100], 0.5), (&[10, 101], 1.0)]);
-        let j = join(&r, &s);
+        let j = join_par(&r, &s, Par::serial(), &mut Scratch::default());
         assert_eq!(j.vars, vec![v(0), v(1), v(2)]);
         assert_eq!(j.len(), 2);
         assert!((score_at(&j, &[1, 10, 100]) - 0.25).abs() < 1e-12);
@@ -1400,7 +1348,7 @@ mod tests {
     fn join_cartesian_when_disjoint() {
         let r = rel(&[0], &[(&[1], 0.5), (&[2], 0.5)]);
         let s = rel(&[1], &[(&[10], 0.5)]);
-        let j = join(&r, &s);
+        let j = join_par(&r, &s, Par::serial(), &mut Scratch::default());
         assert_eq!(j.len(), 2);
     }
 
@@ -1408,7 +1356,7 @@ mod tests {
     fn join_empty_result() {
         let r = rel(&[0], &[(&[1], 0.5)]);
         let s = rel(&[0], &[(&[2], 0.5)]);
-        assert!(join(&r, &s).is_empty());
+        assert!(join_par(&r, &s, Par::serial(), &mut Scratch::default()).is_empty());
     }
 
     #[test]
@@ -1417,7 +1365,7 @@ mod tests {
         let r = rel(&[0, 1], &[(&[1, 2], 0.5)]);
         let s = rel(&[1, 2], &[(&[2, 3], 0.5)]);
         let t = rel(&[2, 3], &[(&[3, 4], 0.5)]);
-        let j = join_many(vec![r, t, s]);
+        let j = join_many_par(&[&r, &t, &s], Par::serial(), &mut Scratch::default());
         assert_eq!(j.len(), 1);
         assert_eq!(j.vars.len(), 4);
         assert!((j.score(0) - 0.125).abs() < 1e-12);
@@ -1434,7 +1382,11 @@ mod tests {
         let a_small = rel(&[4], &[(&[9], 0.5)]);
         let b = rel(&[1], &[(&[5], 0.5)]);
         let c = rel(&[1, 2], &[(&[5, 6], 0.5), (&[5, 7], 0.5)]);
-        let j = join_many(vec![a_big, a_small, b, c]);
+        let j = join_many_par(
+            &[&a_big, &a_small, &b, &c],
+            Par::serial(),
+            &mut Scratch::default(),
+        );
         // Result is the full cartesian product either way; the fallback
         // order only shows in the output column layout (joins append the
         // right input's new columns).
@@ -1453,7 +1405,7 @@ mod tests {
             &[0, 1],
             &[(&[1, 10], 0.5), (&[1, 11], 0.5), (&[2, 12], 0.3)],
         );
-        let p = project_prob(&r, &[v(0)]);
+        let p = project_prob_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         assert_eq!(p.len(), 2);
         assert!((score_at(&p, &[1]) - 0.75).abs() < 1e-12);
         assert!((score_at(&p, &[2]) - 0.3).abs() < 1e-12);
@@ -1466,7 +1418,7 @@ mod tests {
             &[0, 1],
             &[(&[1, 10], 0.5), (&[2, 10], 0.5), (&[3, 11], 0.25)],
         );
-        let p = project_prob(&r, &[v(1)]);
+        let p = project_prob_par(&r, &[v(1)], Par::serial(), &mut Scratch::default());
         assert_eq!(p.len(), 2);
         assert!((score_at(&p, &[10]) - 0.75).abs() < 1e-12);
         assert!((score_at(&p, &[11]) - 0.25).abs() < 1e-12);
@@ -1475,7 +1427,7 @@ mod tests {
     #[test]
     fn project_to_empty_vars_gives_boolean_score() {
         let r = rel(&[0], &[(&[1], 0.5), (&[2], 0.5)]);
-        let p = project_prob(&r, &[]);
+        let p = project_prob_par(&r, &[], Par::serial(), &mut Scratch::default());
         assert_eq!(p.len(), 1);
         assert!((p.score(0) - 0.75).abs() < 1e-12);
     }
@@ -1483,7 +1435,7 @@ mod tests {
     #[test]
     fn project_det_dedups() {
         let r = rel(&[0, 1], &[(&[1, 10], 0.5), (&[1, 11], 0.9)]);
-        let p = project_det(&r, &[v(0)]);
+        let p = project_det_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         assert_eq!(p.len(), 1);
         assert_eq!(p.score(0), 1.0);
     }
@@ -1492,7 +1444,7 @@ mod tests {
     fn min_combine_takes_pointwise_min() {
         let a = rel(&[0], &[(&[1], 0.8), (&[2], 0.3)]);
         let b = rel(&[0], &[(&[1], 0.5), (&[2], 0.7)]);
-        let m = min_combine(&[a, b]);
+        let m = min_combine_par(&[&a, &b], Par::serial(), &mut Scratch::default());
         assert!((score_at(&m, &[1]) - 0.5).abs() < 1e-12);
         assert!((score_at(&m, &[2]) - 0.3).abs() < 1e-12);
     }
@@ -1502,7 +1454,7 @@ mod tests {
         let a = rel(&[0, 1], &[(&[1, 10], 0.8)]);
         // Same rows, but with columns swapped.
         let b = rel(&[1, 0], &[(&[10, 1], 0.2)]);
-        let m = min_combine(&[a, b]);
+        let m = min_combine_par(&[&a, &b], Par::serial(), &mut Scratch::default());
         assert!((score_at(&m, &[1, 10]) - 0.2).abs() < 1e-12);
     }
 
@@ -1510,7 +1462,7 @@ mod tests {
     fn min_into_merges_next_only_keys() {
         let mut a = rel(&[0], &[(&[2], 0.8)]);
         let b = rel(&[0], &[(&[1], 0.5), (&[2], 0.9), (&[3], 0.1)]);
-        min_into(&mut a, &b);
+        min_into_par(&mut a, &b, Par::serial(), &mut Scratch::default());
         assert_eq!(a.len(), 3);
         assert!((score_at(&a, &[1]) - 0.5).abs() < 1e-12);
         assert!((score_at(&a, &[2]) - 0.8).abs() < 1e-12);
@@ -1524,7 +1476,7 @@ mod tests {
             &[0, 1],
             &[(&[1, 10], 0.5), (&[1, 11], 0.8), (&[2, 12], 0.3)],
         );
-        let p = project_max(&r, &[v(0)]);
+        let p = project_max_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         assert_eq!(p.len(), 2);
         assert!((score_at(&p, &[1]) - 0.8).abs() < 1e-12);
         assert!((score_at(&p, &[2]) - 0.3).abs() < 1e-12);
@@ -1533,8 +1485,8 @@ mod tests {
     #[test]
     fn project_max_lower_bounds_project_prob() {
         let r = rel(&[0, 1], &[(&[1, 10], 0.5), (&[1, 11], 0.8)]);
-        let lo = project_max(&r, &[v(0)]);
-        let hi = project_prob(&r, &[v(0)]);
+        let lo = project_max_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
+        let hi = project_prob_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         assert!(score_at(&lo, &[1]) <= score_at(&hi, &[1]));
     }
 
@@ -1551,11 +1503,11 @@ mod tests {
         // joining must fall through to the tie-resolution path.
         let r = rel(&[0, 1, 2, 3, 4], &[(&[1, 2, 3, 4, 5], 0.5)]);
         let s = rel(&[4, 5], &[(&[5, 6], 0.5)]);
-        let j = join(&r, &s);
+        let j = join_par(&r, &s, Par::serial(), &mut Scratch::default());
         assert_eq!(j.len(), 1);
         assert_eq!(j.vars.len(), 6);
         assert!((score_at(&j, &[1, 2, 3, 4, 5, 6]) - 0.25).abs() < 1e-12);
-        let p = project_prob(&j, &[v(0), v(5)]);
+        let p = project_prob_par(&j, &[v(0), v(5)], Par::serial(), &mut Scratch::default());
         assert!((score_at(&p, &[1, 6]) - 0.25).abs() < 1e-12);
     }
 
@@ -1611,10 +1563,10 @@ mod tests {
         assert_eq!(left, left_par);
         assert_eq!(right, right_par);
 
-        let j_serial = join(&left, &right);
+        let j_serial = join_par(&left, &right, Par::serial(), &mut Scratch::default());
         let j_par = join_par(&left, &right, par, &mut scratch);
         assert_eq!(j_serial, j_par);
-        let p_serial = project_prob(&j_serial, &[v(0)]);
+        let p_serial = project_prob_par(&j_serial, &[v(0)], Par::serial(), &mut Scratch::default());
         let p_par = project_prob_par(&j_par, &[v(0)], par, &mut scratch);
         assert_eq!(p_serial, p_par);
         // Bitwise, not approximate: the fold order must be identical.
@@ -1709,10 +1661,10 @@ mod tests {
         let run = r.prefix_run(&[vid(2)]);
         assert_eq!(run, 2..5);
         assert_eq!(r.prefix_run(&[vid(9)]), 5..5);
-        let p = project_prob(&r, &[v(0)]);
+        let p = project_prob_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         let refolded = fold_run_or(&r, run.start, run.end);
         assert_eq!(refolded.to_bits(), score_at(&p, &[2]).to_bits());
-        let pm = project_max(&r, &[v(0)]);
+        let pm = project_max_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         let refolded_max = fold_run_max(&r, 0, 2);
         assert_eq!(refolded_max.to_bits(), score_at(&pm, &[1]).to_bits());
     }

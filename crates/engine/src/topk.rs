@@ -90,6 +90,10 @@ use lapush_query::{Query, Term, Var};
 use lapush_storage::{Database, FxHashMap, FxHashSet, Value, Vid};
 use std::sync::Arc;
 
+/// One node's bounds pair from the `[lo, hi]` pass: the relation carrying
+/// the upper-bound (primary) scores and its parallel lower-bound column.
+type Bounds = (ShRel, Arc<Vec<f64>>);
+
 /// Counters describing one top-k evaluation, surfaced as `topk.*` STATS
 /// by the serve layer and logged by the `fig_topk` bench.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -199,7 +203,7 @@ impl<'a> TopkEval<'a> {
         let use_bounds =
             opts.semantics == Semantics::Probabilistic && this.plans.len() > 1 && k > 0;
         if use_bounds {
-            let mut memo: FxHashMap<PlanId, (ShRel, Arc<Vec<f64>>)> = FxHashMap::default();
+            let mut memo: FxHashMap<PlanId, Bounds> = FxHashMap::default();
             if let Some((first_rel, first_lo)) = this.bounds_eval(first, &mut memo)? {
                 this.setup_pruning(&first_rel, &first_lo);
                 return Ok(this);
@@ -453,18 +457,17 @@ impl<'a> TopkEval<'a> {
     /// (bit-identical to [`eval_node`]) plus the max-fold lower bound.
     /// Returns `None` on node shapes outside minimal plans (`Min`), which
     /// degrade to the exhaustive path.
-    #[allow(clippy::type_complexity)]
     fn bounds_eval(
         &mut self,
         id: PlanId,
-        memo: &mut FxHashMap<PlanId, (ShRel, Arc<Vec<f64>>)>,
-    ) -> Result<Option<(ShRel, Arc<Vec<f64>>)>, ExecError> {
+        memo: &mut FxHashMap<PlanId, Bounds>,
+    ) -> Result<Option<Bounds>, ExecError> {
         if let Some((rel, lo)) = memo.get(&id) {
             return Ok(Some((Arc::clone(rel), Arc::clone(lo))));
         }
         let store = self.store;
         let node = store.node(id);
-        let pair: (ShRel, Arc<Vec<f64>>) = match &node.kind {
+        let pair: Bounds = match &node.kind {
             NodeKind::Scan { .. } => {
                 // A base tuple is its own best derivation: lo = hi = prob.
                 let rel = eval_node(
@@ -494,7 +497,7 @@ impl<'a> TopkEval<'a> {
                 (Arc::new(rel), Arc::new(lo))
             }
             NodeKind::Join { inputs } => {
-                let mut children: Vec<(ShRel, Arc<Vec<f64>>)> = Vec::with_capacity(inputs.len());
+                let mut children: Vec<Bounds> = Vec::with_capacity(inputs.len());
                 for &c in inputs {
                     let Some(pair) = self.bounds_eval(c, memo)? else {
                         return Ok(None);

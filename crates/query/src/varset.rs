@@ -25,16 +25,6 @@ impl VarSet {
         VarSet(1u64 << v.0)
     }
 
-    /// Build from an iterator of variables.
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_iter<I: IntoIterator<Item = Var>>(vars: I) -> Self {
-        let mut s = VarSet::EMPTY;
-        for v in vars {
-            s.insert(v);
-        }
-        s
-    }
-
     /// Set of the first `n` variables `{0, 1, …, n−1}`.
     #[inline]
     pub fn first_n(n: usize) -> Self {
@@ -149,8 +139,12 @@ impl VarSet {
 }
 
 impl FromIterator<Var> for VarSet {
-    fn from_iter<I: IntoIterator<Item = Var>>(iter: I) -> Self {
-        VarSet::from_iter(iter)
+    fn from_iter<I: IntoIterator<Item = Var>>(vars: I) -> Self {
+        let mut s = VarSet::EMPTY;
+        for v in vars {
+            s.insert(v);
+        }
+        s
     }
 }
 

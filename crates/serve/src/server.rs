@@ -377,9 +377,12 @@ fn run_topk(shared: &Shared, k: usize, text: &str) -> String {
 /// the database write lock — surviving entries come out re-stamped fresh,
 /// so interleaved queries keep hitting the cache. Entries the delta
 /// algebra cannot maintain (an in-place probability raise from a
-/// duplicate insert) are dropped and recomputed on their next lookup; if
-/// an append fails partway, the cache is left stale and ordinary stamp
-/// invalidation takes over.
+/// duplicate insert) are dropped and recomputed on their next lookup.
+///
+/// A batch is all-or-nothing: every row is validated
+/// ([`Relation::check`](lapush_storage::Relation::check)) before the
+/// first is appended, so a rejected batch leaves the database and the
+/// answer cache untouched.
 fn run_ingest(shared: &Shared, relation: &str, rows: &str) -> String {
     let parsed = match relation_from_text(relation, rows, CsvOptions::default()) {
         Ok(rel) => rel,
@@ -400,10 +403,16 @@ fn run_ingest(shared: &Shared, relation: &str, rows: &str) -> String {
                     ),
                 );
             }
+            if let Err(e) = parsed
+                .iter()
+                .try_for_each(|(_, row, prob)| existing.check(row, prob))
+            {
+                return err_response(ErrorCode::Ingest, &e.to_string());
+            }
             for (_, row, prob) in parsed.iter() {
-                if let Err(e) = existing.push(row.into(), prob) {
-                    return err_response(ErrorCode::Ingest, &e.to_string());
-                }
+                existing
+                    .push(row.into(), prob)
+                    .expect("row validated by Relation::check");
             }
             existing.len()
         }
@@ -451,11 +460,8 @@ fn render_stats(shared: &Shared) -> String {
     // start. `scopes`/`tasks` are workload-determined; `inline`/`steals`
     // depend on scheduling and are informational only.
     let pool = lapush_engine::pool::counters();
-    // `kernels.path` is a string value, not a counter — `parse_stats`
-    // skips it by design. Deterministic per machine/environment; scripted
-    // sessions that byte-diff STATS pin it with `LAPUSH_KERNELS`.
     format!(
-        "OK stats\nproto.version={PROTOCOL_VERSION}\nqueries.served={}\ndb.relations={relations}\ndb.tuples={tuples}\ndb.cells={cells}\n{}\n{}\ndelta.batches={}\ndelta.rows={}\ndelta.fallbacks={}\ntopk.evaluated={}\ntopk.pruned={}\npool.scopes={}\npool.tasks={}\npool.inline={}\npool.steals={}\nkernels.path={}",
+        "OK stats\nproto.version={PROTOCOL_VERSION}\nqueries.served={}\ndb.relations={relations}\ndb.tuples={tuples}\ndb.cells={cells}\n{}\n{}\ndelta.batches={}\ndelta.rows={}\ndelta.fallbacks={}\ntopk.evaluated={}\ntopk.pruned={}\npool.scopes={}\npool.tasks={}\npool.inline={}\npool.steals={}",
         shared.queries_served.load(Ordering::SeqCst),
         cache_lines("plan_cache", plan_stats, plan_len),
         cache_lines("answer_cache", ans_stats, ans_len),
@@ -468,7 +474,6 @@ fn render_stats(shared: &Shared) -> String {
         pool.tasks,
         pool.inline,
         pool.steals,
-        lapush_engine::kernels::active().name(),
     )
 }
 

@@ -149,10 +149,11 @@ impl Relation {
         true
     }
 
-    /// Insert a tuple with probability `prob`. Re-inserting an existing tuple
-    /// keeps the maximum of the old and new probability (set semantics).
-    /// Returns the row ordinal.
-    pub fn push(&mut self, row: Tuple, prob: f64) -> Result<u32, StorageError> {
+    /// The rules [`Relation::push`] enforces, without inserting: the row
+    /// has this relation's arity, `prob` is in `[0, 1]`, and a
+    /// deterministic relation only takes `prob = 1`. A batch whose rows
+    /// all pass is appended without error.
+    pub fn check(&self, row: &[Value], prob: f64) -> Result<(), StorageError> {
         if row.len() != self.arity {
             return Err(StorageError::ArityMismatch {
                 relation: self.name.clone(),
@@ -172,6 +173,14 @@ impl Relation {
                 prob,
             });
         }
+        Ok(())
+    }
+
+    /// Insert a tuple with probability `prob`. Re-inserting an existing tuple
+    /// keeps the maximum of the old and new probability (set semantics).
+    /// Returns the row ordinal.
+    pub fn push(&mut self, row: Tuple, prob: f64) -> Result<u32, StorageError> {
+        self.check(&row, prob)?;
         if let Some(&at) = self.index.get(&row) {
             let slot = &mut self.probs[at as usize];
             if prob > *slot {

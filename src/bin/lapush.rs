@@ -148,11 +148,6 @@ fn run_serve() -> Result<(), Box<dyn std::error::Error>> {
         None => Database::new(),
     };
     let handle = Server::bind_with_db(db, config)?.spawn()?;
-    eprintln!(
-        "lapush serve: kernels {} (LAPUSH_KERNELS={})",
-        lapushdb::engine::kernels::active().name(),
-        lapushdb::engine::kernels::requested_mode()
-    );
     println!("lapush serve: listening on {}", handle.addr());
     handle.join();
     Ok(())
@@ -311,13 +306,6 @@ fn run_bench() -> i32 {
             return 1;
         }
     };
-    // The experiment binaries inherit LAPUSH_KERNELS; log the path this
-    // process resolved so suite logs are self-describing.
-    eprintln!(
-        "lapush bench: kernels {} (LAPUSH_KERNELS={})",
-        lapushdb::engine::kernels::active().name(),
-        lapushdb::engine::kernels::requested_mode()
-    );
     let outcome = benchsuite::run_suite(&bin_dir, &forwarded);
     benchsuite::summarize(&outcome)
 }

@@ -347,3 +347,42 @@ fn protocol_errors_and_new_relations() {
     assert_eq!(client.request("QUIT").unwrap(), "OK bye");
     handle.shutdown();
 }
+
+/// `INGEST` is all-or-nothing: a batch with one invalid row (here a
+/// `p < 1` row for a deterministic relation, after a valid one) is
+/// rejected whole — no row is appended and the cached answer stays.
+#[test]
+fn rejected_ingest_batch_appends_nothing() {
+    let mut db = Database::new();
+    let r = db.create_deterministic("R", 1).unwrap();
+    let t = db.create_relation("T", 1).unwrap();
+    for (v, p) in [("a", 0.5), ("b", 0.7), ("x", 0.9)] {
+        db.relation_mut(t)
+            .push(Box::new([Value::from(v)]), p)
+            .unwrap();
+    }
+    for v in ["a", "b"] {
+        db.relation_mut(r)
+            .push_certain(Box::new([Value::from(v)]))
+            .unwrap();
+    }
+    let handle = Server::bind_with_db(db.clone(), ServerConfig::default())
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    let query = "QUERY q(x) :- R(x), T(x)";
+    let before = client.request(query).unwrap();
+    assert_eq!(before, expected_response(&db, "q(x) :- R(x), T(x)"));
+    let tuples = stat(&client.request("STATS").unwrap(), "db.tuples");
+
+    // Appending just the first row would add the answer x (T(x) = 0.9).
+    let err = client.request("INGEST R\nx,1.0\ny,0.5").unwrap();
+    assert!(err.starts_with("ERR INGEST "), "{err}");
+
+    let stats = client.request("STATS").unwrap();
+    assert_eq!(stat(&stats, "db.tuples"), tuples);
+    assert_eq!(client.request(query).unwrap(), before);
+    handle.shutdown();
+}
