@@ -195,14 +195,11 @@ pub fn shared_subqueries_in(store: &PlanStore, root: PlanId) -> Vec<(SubqueryKey
         // Reconstruct the id from the dense index: ids are assigned in
         // insertion order, so index order is topological (children first).
         let node = store.node_at(idx);
-        match &node.kind {
-            NodeKind::Scan { .. } => continue,
-            NodeKind::Project { input } => mult[input.index()] += m,
-            NodeKind::Join { inputs } | NodeKind::Min { inputs } => {
-                for c in inputs.iter() {
-                    mult[c.index()] += m;
-                }
-            }
+        if matches!(node.kind, NodeKind::Scan { .. }) {
+            continue;
+        }
+        for c in node.kind.children() {
+            mult[c.index()] += m;
         }
         *counts.entry((node.atoms_mask, node.head)).or_insert(0) += m;
     }

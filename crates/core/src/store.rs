@@ -70,6 +70,17 @@ pub enum NodeKind {
     },
 }
 
+impl NodeKind {
+    /// The node's inputs (empty for a scan).
+    pub fn children(&self) -> &[PlanId] {
+        match self {
+            NodeKind::Scan { .. } => &[],
+            NodeKind::Project { input } => std::slice::from_ref(input),
+            NodeKind::Join { inputs } | NodeKind::Min { inputs } => inputs,
+        }
+    }
+}
+
 /// One interned plan node: payload plus the subquery key
 /// `(atoms_mask, head)` it computes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -273,25 +284,26 @@ impl PlanStore {
 
     // -- DAG statistics -----------------------------------------------------
 
-    /// Number of distinct nodes reachable from `roots`.
-    pub fn reachable_count(&self, roots: &[PlanId]) -> usize {
+    /// Distinct nodes reachable from `roots`, in ascending id order —
+    /// children before parents.
+    pub fn reachable(&self, roots: &[PlanId]) -> Vec<PlanId> {
         let mut seen = vec![false; self.nodes.len()];
         let mut stack: Vec<PlanId> = roots.to_vec();
-        let mut count = 0usize;
+        let mut out: Vec<PlanId> = Vec::new();
         while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut seen[id.0 as usize], true) {
+            if std::mem::replace(&mut seen[id.index()], true) {
                 continue;
             }
-            count += 1;
-            match &self.node(id).kind {
-                NodeKind::Scan { .. } => {}
-                NodeKind::Project { input } => stack.push(*input),
-                NodeKind::Join { inputs } | NodeKind::Min { inputs } => {
-                    stack.extend(inputs.iter().copied());
-                }
-            }
+            out.push(id);
+            stack.extend_from_slice(self.node(id).kind.children());
         }
-        count
+        out.sort_unstable();
+        out
+    }
+
+    /// Number of distinct nodes reachable from `roots`.
+    pub fn reachable_count(&self, roots: &[PlanId]) -> usize {
+        self.reachable(roots).len()
     }
 
     /// Per-node materialized-tree sizes (what [`Plan::size`] would return
@@ -301,13 +313,12 @@ impl PlanStore {
     pub fn tree_sizes(&self) -> Vec<u128> {
         let mut sizes: Vec<u128> = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
-            let size = 1 + match &node.kind {
-                NodeKind::Scan { .. } => 0,
-                NodeKind::Project { input } => sizes[input.0 as usize],
-                NodeKind::Join { inputs } | NodeKind::Min { inputs } => {
-                    inputs.iter().map(|c| sizes[c.0 as usize]).sum()
-                }
-            };
+            let size = 1 + node
+                .kind
+                .children()
+                .iter()
+                .map(|c| sizes[c.index()])
+                .sum::<u128>();
             sizes.push(size);
         }
         sizes

@@ -58,7 +58,7 @@ use crate::exec::{decode_answers, scan_atom, AnswerSet, ExecError, ExecOptions, 
 use crate::prepare::{prepare_atoms, ScanShape};
 use crate::rel::{
     diff_changed, fold_run_max, fold_run_or, join_order, join_par, merge_upsert, min_combine_par,
-    min_into_par, project_det_par, project_max_par, project_prob_par, Par, Rel, Scratch,
+    min_into_par, project_node, Par, Rel, Scratch,
 };
 use lapush_core::{NodeKind, PlanId, PlanStore};
 use lapush_query::{Query, Var};
@@ -139,7 +139,7 @@ impl IncrementalEval {
                 }
             })
             .collect();
-        let nodes = reachable_nodes(store, roots);
+        let nodes = store.reachable(roots);
         let par = Par::new(opts.threads.max(1));
         let mut scratch = Scratch::default();
         let mut views: FxHashMap<PlanId, Rel> = FxHashMap::default();
@@ -150,9 +150,9 @@ impl IncrementalEval {
                 NodeKind::Scan { atom } => scan_atom(
                     db,
                     &prepared[*atom],
-                    q,
-                    &q.atoms()[*atom],
-                    opts,
+                    &ScanShape::of(q, &q.atoms()[*atom]),
+                    None,
+                    opts.semantics,
                     par,
                     &mut scratch,
                 ),
@@ -242,11 +242,7 @@ impl IncrementalEval {
                     for (slot, &c) in row_buf.iter_mut().zip(&shape.out_cols) {
                         *slot = row[c];
                     }
-                    let score = match opts.semantics {
-                        Semantics::Probabilistic | Semantics::LowerBound => rel.prob(ordinal),
-                        Semantics::Deterministic => 1.0,
-                    };
-                    out.push_row(&row_buf, score);
+                    out.push_row(&row_buf, opts.semantics.scan_score(rel.prob(ordinal)));
                 });
                 out.canonicalize(Par::serial(), &mut scratch);
                 scan_deltas.push((!out.is_empty()).then_some(out));
@@ -416,38 +412,6 @@ impl IncrementalEval {
 /// Empty-to-`None` (an empty delta short-circuits downstream work).
 fn nonempty(rel: Rel) -> Option<Rel> {
     (!rel.is_empty()).then_some(rel)
-}
-
-/// Reachable plan nodes in ascending id order.
-fn reachable_nodes(store: &PlanStore, roots: &[PlanId]) -> Vec<PlanId> {
-    let mut seen = vec![false; store.len()];
-    let mut stack: Vec<PlanId> = roots.to_vec();
-    let mut out: Vec<PlanId> = Vec::new();
-    while let Some(id) = stack.pop() {
-        if seen[id.index()] {
-            continue;
-        }
-        seen[id.index()] = true;
-        out.push(id);
-        match &store.node(id).kind {
-            NodeKind::Scan { .. } => {}
-            NodeKind::Project { input } => stack.push(*input),
-            NodeKind::Join { inputs } | NodeKind::Min { inputs } => {
-                stack.extend(inputs.iter().copied())
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// The batch projection for one semantics (the dispatch `eval_node` runs).
-fn project_node(child: &Rel, keep: &[Var], sem: Semantics, par: Par, scratch: &mut Scratch) -> Rel {
-    match sem {
-        Semantics::Probabilistic => project_prob_par(child, keep, par, scratch),
-        Semantics::LowerBound => project_max_par(child, keep, par, scratch),
-        Semantics::Deterministic => project_det_par(child, keep, par, scratch),
-    }
 }
 
 /// Fold a multi-way join along its greedy order, capturing the

@@ -17,11 +17,10 @@
 
 use crate::prepare::{prepare_atoms, PrepareError, PreparedAtom, ScanShape};
 use crate::rel::{
-    join_many_par, min_combine_par, min_into_par, project_det_par, project_max_par,
-    project_prob_par, Par, Rel, Scratch,
+    join_many_par, min_combine_par, min_into_par, project_det_par, project_node, Par, Rel, Scratch,
 };
 use lapush_core::{NodeKind, Plan, PlanId, PlanStore};
-use lapush_query::{Atom, Query, Var};
+use lapush_query::{Query, Var};
 use lapush_storage::{Database, DbCodec, FxHashMap, Value, Vid};
 use std::fmt;
 use std::sync::Arc;
@@ -43,6 +42,18 @@ pub enum Semantics {
     /// Standard set semantics (every score is 1): the "deterministic SQL"
     /// baseline of the experiments.
     Deterministic,
+}
+
+impl Semantics {
+    /// Score of a base tuple with probability `prob` as it enters a scan:
+    /// the probability itself, or 1 under set semantics.
+    #[inline]
+    pub(crate) fn scan_score(self, prob: f64) -> f64 {
+        match self {
+            Semantics::Probabilistic | Semantics::LowerBound => prob,
+            Semantics::Deterministic => 1.0,
+        }
+    }
 }
 
 /// Evaluation options.
@@ -377,24 +388,22 @@ pub(crate) fn eval_node(
         NodeKind::Scan { atom } => Arc::new(scan_atom(
             db,
             &prepared[*atom],
-            q,
-            &q.atoms()[*atom],
-            opts,
+            &ScanShape::of(q, &q.atoms()[*atom]),
+            None,
+            opts.semantics,
             ctx.par,
             &mut ctx.scratch,
         )),
         NodeKind::Project { input } => {
             let child = eval_node(db, prepared, q, store, *input, opts, ctx)?;
             let keep: Vec<Var> = node.head.iter().collect();
-            Arc::new(match opts.semantics {
-                Semantics::Probabilistic => {
-                    project_prob_par(&child, &keep, ctx.par, &mut ctx.scratch)
-                }
-                Semantics::LowerBound => project_max_par(&child, &keep, ctx.par, &mut ctx.scratch),
-                Semantics::Deterministic => {
-                    project_det_par(&child, &keep, ctx.par, &mut ctx.scratch)
-                }
-            })
+            Arc::new(project_node(
+                &child,
+                &keep,
+                opts.semantics,
+                ctx.par,
+                &mut ctx.scratch,
+            ))
         }
         NodeKind::Join { inputs } => {
             let children = inputs
@@ -431,86 +440,42 @@ pub(crate) fn eval_node(
 /// equal vids); order/pattern predicates are not id-representable and run
 /// on the stored values before the row enters the encoded pipeline. The
 /// atom was resolved and encoded by [`prepare_atoms`]; no lock is held
-/// here. The filter pass appends in storage order; the closing
-/// canonicalization (a key-range-partitioned sort when `par` allows)
-/// establishes the operators' sorted invariant.
+/// here. With `rows` the scan reads exactly those row ordinals instead —
+/// rows already known to pass the filters, such as a semi-join reducer's
+/// survivors — so each row it keeps comes out bit-identical to its
+/// counterpart in the full scan. The pass appends in storage order; the
+/// closing canonicalization (a key-range-partitioned sort when `par`
+/// allows) establishes the operators' sorted invariant.
 pub(crate) fn scan_atom(
     db: &Database,
     prep: &PreparedAtom,
-    q: &Query,
-    atom: &Atom,
-    opts: ExecOptions,
+    shape: &ScanShape<'_>,
+    rows: Option<&[u32]>,
+    semantics: Semantics,
     par: Par,
     scratch: &mut Scratch,
 ) -> Rel {
     let rel = db.relation(prep.rel);
-    let shape = ScanShape::of(q, atom);
-    // Pre-size the output only for unfiltered scans (there it is exact up
-    // to in-atom duplicates); a selective filter over a large relation
-    // must not allocate a full-size table.
-    let cap = if shape.is_unfiltered(prep) {
-        rel.len()
-    } else {
-        0
+    // Pre-size the output only when its size is known (an unfiltered scan
+    // is exact up to in-atom duplicates); a selective filter over a large
+    // relation must not allocate a full-size table.
+    let cap = match rows {
+        Some(rows) => rows.len(),
+        None if shape.is_unfiltered(prep) => rel.len(),
+        None => 0,
     };
     let mut out = Rel::with_capacity(shape.out_vars.clone(), cap);
     let mut row_buf: Vec<Vid> = vec![0; shape.out_cols.len()];
-    prep.for_each_surviving_row(rel, &shape, |i, row| {
+    let mut push = |i: u32, row: &[Vid]| {
         for (slot, &c) in row_buf.iter_mut().zip(&shape.out_cols) {
             *slot = row[c];
         }
-        let score = match opts.semantics {
-            Semantics::Probabilistic | Semantics::LowerBound => rel.prob(i),
-            Semantics::Deterministic => 1.0,
-        };
-        out.push_row(&row_buf, score);
-    });
-    out.canonicalize(par, scratch);
-    out
-}
-
-/// Per-atom variable-membership filter for restricted (top-k survivor)
-/// evaluation: a row survives the scan only if, for every listed term
-/// column, its vid is in the allowed set. Built by [`crate::topk`] from
-/// the surviving answer groups' head-variable values.
-pub(crate) struct ScanFilter {
-    /// `(term column index into the atom's encoded row, allowed vids)`.
-    pub(crate) sets: Vec<(usize, lapush_storage::FxHashSet<Vid>)>,
-}
-
-/// [`scan_atom`] with an additional [`ScanFilter`]: identical filter,
-/// scoring, and canonicalization pipeline, so the surviving rows come out
-/// bit-identical to their counterparts in the unfiltered scan.
-#[allow(clippy::too_many_arguments)] // mirrors scan_atom's pipeline + filter
-pub(crate) fn scan_atom_filtered(
-    db: &Database,
-    prep: &PreparedAtom,
-    q: &Query,
-    atom: &Atom,
-    filter: &ScanFilter,
-    opts: ExecOptions,
-    par: Par,
-    scratch: &mut Scratch,
-) -> Rel {
-    let rel = db.relation(prep.rel);
-    let shape = ScanShape::of(q, atom);
-    let mut out = Rel::with_capacity(shape.out_vars.clone(), 0);
-    let mut row_buf: Vec<Vid> = vec![0; shape.out_cols.len()];
-    prep.for_each_surviving_row(rel, &shape, |i, row| {
-        for (c, set) in &filter.sets {
-            if !set.contains(&row[*c]) {
-                return;
-            }
-        }
-        for (slot, &c) in row_buf.iter_mut().zip(&shape.out_cols) {
-            *slot = row[c];
-        }
-        let score = match opts.semantics {
-            Semantics::Probabilistic | Semantics::LowerBound => rel.prob(i),
-            Semantics::Deterministic => 1.0,
-        };
-        out.push_row(&row_buf, score);
-    });
+        out.push_row(&row_buf, semantics.scan_score(rel.prob(i)));
+    };
+    match rows {
+        Some(rows) => rows.iter().for_each(|&i| push(i, prep.row(i))),
+        None => prep.for_each_surviving_row(rel, shape, push),
+    }
     out.canonicalize(par, scratch);
     out
 }
@@ -530,28 +495,16 @@ pub fn plan_cost_estimates(
     roots
         .iter()
         .map(|&root| {
-            let mut seen: lapush_storage::FxHashSet<PlanId> = Default::default();
-            let mut nodes = 0u64;
-            let mut rows = 0u64;
-            let mut stack = vec![root];
-            while let Some(id) = stack.pop() {
-                if !seen.insert(id) {
-                    continue;
-                }
-                nodes += 1;
-                match &store.node(id).kind {
-                    NodeKind::Scan { atom } => {
-                        if let Ok(rel) = db.relation_by_name(&q.atoms()[*atom].relation) {
-                            rows += rel.len() as u64;
-                        }
-                    }
-                    NodeKind::Project { input } => stack.push(*input),
-                    NodeKind::Join { inputs } | NodeKind::Min { inputs } => {
-                        stack.extend(inputs.iter().copied())
-                    }
-                }
-            }
-            (root, nodes * rows.max(1))
+            let nodes = store.reachable(&[root]);
+            let rows: u64 = nodes
+                .iter()
+                .filter_map(|&id| match store.node(id).kind {
+                    NodeKind::Scan { atom } => db.relation_by_name(&q.atoms()[atom].relation).ok(),
+                    _ => None,
+                })
+                .map(|rel| rel.len() as u64)
+                .sum();
+            (root, nodes.len() as u64 * rows.max(1))
         })
         .collect()
 }
@@ -696,29 +649,14 @@ pub fn propagation_score_ids(
 /// parallel path evaluates them serially up front so no two threads race
 /// to compute the same subplan.
 fn shared_subplans(store: &PlanStore, roots: &[PlanId]) -> Vec<PlanId> {
-    let n = store.len();
-    let mut stamp: Vec<u32> = vec![u32::MAX; n];
-    let mut count: Vec<u8> = vec![0; n];
+    let mut count: Vec<u8> = vec![0; store.len()];
     let mut shared: Vec<PlanId> = Vec::new();
-    let mut stack: Vec<PlanId> = Vec::new();
-    for (ri, &root) in roots.iter().enumerate() {
-        stack.push(root);
-        while let Some(id) = stack.pop() {
-            let idx = id.index();
-            if stamp[idx] == ri as u32 {
-                continue;
-            }
-            stamp[idx] = ri as u32;
-            count[idx] = count[idx].saturating_add(1);
-            if count[idx] == 2 {
+    for &root in roots {
+        for id in store.reachable(&[root]) {
+            let n = &mut count[id.index()];
+            *n = n.saturating_add(1);
+            if *n == 2 {
                 shared.push(id);
-            }
-            match &store.node(id).kind {
-                NodeKind::Scan { .. } => {}
-                NodeKind::Project { input } => stack.push(*input),
-                NodeKind::Join { inputs } | NodeKind::Min { inputs } => {
-                    stack.extend(inputs.iter().copied())
-                }
             }
         }
     }
@@ -740,11 +678,6 @@ pub fn deterministic_answers_par(
     q: &Query,
     threads: usize,
 ) -> Result<AnswerSet, ExecError> {
-    let opts = ExecOptions {
-        semantics: Semantics::Deterministic,
-        reuse_views: false,
-        threads,
-    };
     let par = Par::new(threads);
     let mut scratch = Scratch::default();
     let prepared = prepare_atoms(db, q)?;
@@ -752,7 +685,10 @@ pub fn deterministic_answers_par(
         .atoms()
         .iter()
         .zip(&prepared)
-        .map(|(a, prep)| scan_atom(db, prep, q, a, opts, par, &mut scratch))
+        .map(|(a, prep)| {
+            let (shape, sem) = (ScanShape::of(q, a), Semantics::Deterministic);
+            scan_atom(db, prep, &shape, None, sem, par, &mut scratch)
+        })
         .collect();
     let refs: Vec<&Rel> = scans.iter().collect();
     let joined = join_many_par(&refs, par, &mut scratch);

@@ -14,8 +14,10 @@
 //! * [`exec::ExecOptions::reuse_views`] — Optimization 2 (Algorithm 3):
 //!   memoize shared subquery results during evaluation of the single plan.
 //! * [`semijoin::reduce_database`] — Optimization 3: a full deterministic
-//!   semi-join reduction applied to the base relations before probabilistic
-//!   evaluation.
+//!   semi-join reduction of the query's base relations before
+//!   probabilistic evaluation; the result holds only the relations the
+//!   query reads. Its fixpoint is the engine's one semi-join reducer,
+//!   which the top-k restricted phase ([`topk`]) reuses.
 //! * deterministic (set) semantics for the "standard SQL" baseline.
 //!
 //! ## Dictionary-encoded, columnar sort-merge execution

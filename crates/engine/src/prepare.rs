@@ -113,6 +113,13 @@ impl<'q> ScanShape<'q> {
 }
 
 impl PreparedAtom {
+    /// The encoded cells of row `ordinal`.
+    #[inline]
+    pub(crate) fn row(&self, ordinal: u32) -> &[Vid] {
+        let start = ordinal as usize * self.arity;
+        &self.cells[start..start + self.arity]
+    }
+
     /// Drive `emit` with `(row ordinal, encoded row)` for every row of the
     /// relation that passes the atom's constant filters and the shape's
     /// repeated-variable and predicate filters. Emits nothing when a
@@ -120,8 +127,9 @@ impl PreparedAtom {
     /// atom was prepared from (it supplies stored values for predicate
     /// evaluation, which is not id-representable).
     ///
-    /// This is the one copy of the encoded row-filter loop shared by plan
-    /// scans, the semi-join reducer, and lineage construction.
+    /// This and [`PreparedAtom::for_each_surviving_delta_row`] share the
+    /// one copy of the encoded row-filter test, used by plan scans, the
+    /// semi-join reducer, lineage construction, and delta maintenance.
     pub fn for_each_surviving_row(
         &self,
         rel: &Relation,
@@ -131,28 +139,11 @@ impl PreparedAtom {
         let Some(const_vids) = &self.consts else {
             return;
         };
-        let arity = self.arity;
-        'rows: for i in 0..rel.len() {
-            let row = &self.cells[i * arity..(i + 1) * arity];
-            for &(c, vid) in const_vids {
-                if row[c] != vid {
-                    continue 'rows;
-                }
+        for i in 0..rel.len() as u32 {
+            let row = self.row(i);
+            if passes(const_vids, shape, rel, i, row) {
+                emit(i, row);
             }
-            for &(c1, c2) in &shape.eq_filters {
-                if row[c1] != row[c2] {
-                    continue 'rows;
-                }
-            }
-            if !shape.preds.is_empty() {
-                let values = rel.row(i as u32);
-                for &(c, p) in &shape.preds {
-                    if !p.op.eval(&values[c], &p.value) {
-                        continue 'rows;
-                    }
-                }
-            }
-            emit(i as u32, row);
         }
     }
 
@@ -172,34 +163,38 @@ impl PreparedAtom {
         let Some(const_vids) = &self.consts else {
             return;
         };
-        let arity = self.arity;
-        let mut row: Vec<Vid> = vec![0; arity];
-        'rows: for i in 0..batch.len() {
+        let mut row: Vec<Vid> = vec![0; self.arity];
+        for i in 0..batch.len() {
             for (c, slot) in row.iter_mut().enumerate() {
                 *slot = batch.cell(i, c);
             }
-            for &(c, vid) in const_vids {
-                if row[c] != vid {
-                    continue 'rows;
-                }
-            }
-            for &(c1, c2) in &shape.eq_filters {
-                if row[c1] != row[c2] {
-                    continue 'rows;
-                }
-            }
             let ordinal = batch.ordinal(i);
-            if !shape.preds.is_empty() {
-                let values = rel.row(ordinal);
-                for &(c, p) in &shape.preds {
-                    if !p.op.eval(&values[c], &p.value) {
-                        continue 'rows;
-                    }
-                }
+            if passes(const_vids, shape, rel, ordinal, &row) {
+                emit(ordinal, &row);
             }
-            emit(ordinal, &row);
         }
     }
+}
+
+/// The row-filter test: constant and repeated-variable filters compare
+/// vids; predicates run on the stored values of row `ordinal` of `rel`.
+#[inline]
+fn passes(
+    const_vids: &[(usize, Vid)],
+    shape: &ScanShape<'_>,
+    rel: &Relation,
+    ordinal: u32,
+    row: &[Vid],
+) -> bool {
+    const_vids.iter().all(|&(c, vid)| row[c] == vid)
+        && shape.eq_filters.iter().all(|&(c1, c2)| row[c1] == row[c2])
+        && (shape.preds.is_empty() || {
+            let values = rel.row(ordinal);
+            shape
+                .preds
+                .iter()
+                .all(|&(c, p)| p.op.eval(&values[c], &p.value))
+        })
 }
 
 fn prepare_one(

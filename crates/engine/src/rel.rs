@@ -40,6 +40,7 @@
 //! hash-map representation, where float accumulation followed hash
 //! iteration order.
 
+use crate::exec::Semantics;
 use crate::kernels::{self, Key};
 use lapush_query::Var;
 use lapush_storage::{RowKey, Vid};
@@ -1033,6 +1034,23 @@ pub fn project_det_par(input: &Rel, keep: &[Var], par: Par, scratch: &mut Scratc
     project_fold(input, keep, ProjFold::One, par, scratch)
 }
 
+/// The projection a plan node computes under `semantics`: the one
+/// semantics-to-fold dispatch shared by plan evaluation, incremental
+/// maintenance, and top-k's restricted phase.
+pub(crate) fn project_node(
+    input: &Rel,
+    keep: &[Var],
+    semantics: Semantics,
+    par: Par,
+    scratch: &mut Scratch,
+) -> Rel {
+    match semantics {
+        Semantics::Probabilistic => project_prob_par(input, keep, par, scratch),
+        Semantics::LowerBound => project_max_par(input, keep, par, scratch),
+        Semantics::Deterministic => project_det_par(input, keep, par, scratch),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Pointwise min: sorted merges
 // ---------------------------------------------------------------------------
@@ -1055,8 +1073,9 @@ pub fn min_into_par(acc: &mut Rel, next: &Rel, par: Par, scratch: &mut Scratch) 
 /// [`min_into_par`] restricted to `acc`'s key set: keys present only in
 /// `next` are *dropped* instead of merged in. Used by the top-k driver,
 /// where `acc` holds the surviving answer groups and later plans are
-/// evaluated over a filtered input that may still produce rows for
-/// already-pruned groups (the filter is per-variable, not per-tuple).
+/// evaluated over survivor rows that may still produce rows for
+/// already-pruned groups (the rows are seeded per head variable, not per
+/// answer tuple).
 /// Matching keys take the exact same in-place pointwise min as
 /// [`min_into_par`], so surviving scores stay bit-identical.
 pub(crate) fn min_into_matching_par(acc: &mut Rel, next: &Rel, par: Par, scratch: &mut Scratch) {

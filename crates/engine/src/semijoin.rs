@@ -14,78 +14,59 @@
 //! tests membership by binary search — no hashing, no per-row allocation.
 //! The codec lock is held only while the query's relations are encoded up
 //! front; the passes themselves run lock-free on the shared encoded cells.
+//!
+//! The fixpoint works on per-atom survivor row lists, not on relations,
+//! so it is the engine's one semi-join reducer: [`reduce_database`]
+//! materializes its result for Optimization 3, and the top-k restricted
+//! phase ([`crate::topk`]) scans the survivor rows directly.
 
 use crate::prepare::{prepare_atoms_lenient, PreparedAtom, ScanShape};
 use lapush_query::{Atom, Query, Term, Var};
-use lapush_storage::{Database, RowKey, Vid};
+use lapush_storage::{Database, Relation, RowKey, Vid};
 
-/// Reduce the database for the given query. Returns a new database holding,
-/// for every relation mentioned by the query, only the tuples that survive
-/// selection and semi-join reduction. Relations not mentioned by the query
-/// are copied unchanged.
+/// Reduce the database for the given query. Returns a new database holding
+/// only the relations the query mentions, each restricted to the tuples
+/// that survive selection and semi-join reduction. Relations the query
+/// never reads are not copied: the result is only meant for evaluating
+/// `q`.
 pub fn reduce_database(db: &Database, q: &Query) -> Database {
     // An unpreparable atom (missing relation / wrong arity) has no
     // surviving rows; evaluation will report the error downstream.
     let preps = prepare_atoms_lenient(db, q);
-    // Per atom: surviving row indices.
+    let preps: Vec<Option<&PreparedAtom>> = preps.iter().map(Option::as_ref).collect();
     let mut survivors: Vec<Vec<u32>> = q
         .atoms()
         .iter()
         .zip(&preps)
-        .map(|(atom, prep)| initial_survivors(db, q, atom, prep.as_ref()))
+        .map(|(atom, prep)| match prep {
+            Some(prep) => initial_survivors(db, q, atom, prep),
+            None => Vec::new(),
+        })
         .collect();
-
-    // Semi-join passes until fixpoint.
-    loop {
-        let mut changed = false;
-        for i in 0..q.atoms().len() {
-            for j in 0..q.atoms().len() {
-                if i == j {
-                    continue;
-                }
-                let shared = shared_vars(&q.atoms()[i], &q.atoms()[j]);
-                if shared.is_empty() {
-                    continue;
-                }
-                changed |= semijoin_pass(&preps, i, j, &shared, &mut survivors);
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    semijoin_fixpoint(q, &preps, &mut survivors);
 
     // Build the reduced database. Queries are self-join-free (enforced by
     // the AST: relation names are unique per query), so a relation maps to
     // at most one atom and its survivor set.
     let mut out = Database::new();
     for (_, rel) in db.relations() {
-        let atom_idx = q.atoms().iter().position(|a| a.relation == rel.name());
+        let Some(i) = q.atoms().iter().position(|a| a.relation == rel.name()) else {
+            continue;
+        };
         let mut new_rel = if rel.is_deterministic() {
-            lapush_storage::Relation::deterministic(rel.name(), rel.arity())
+            Relation::deterministic(rel.name(), rel.arity())
         } else {
-            lapush_storage::Relation::new(rel.name(), rel.arity())
+            Relation::new(rel.name(), rel.arity())
         };
         for fd in rel.fds() {
             new_rel
                 .add_fd(fd.clone())
                 .expect("FD valid on original relation");
         }
-        match atom_idx {
-            Some(i) => {
-                for &row in &survivors[i] {
-                    new_rel
-                        .push(rel.row(row).to_vec().into_boxed_slice(), rel.prob(row))
-                        .expect("row valid on original relation");
-                }
-            }
-            None => {
-                for (_, row, p) in rel.iter() {
-                    new_rel
-                        .push(row.to_vec().into_boxed_slice(), p)
-                        .expect("row valid on original relation");
-                }
-            }
+        for &row in &survivors[i] {
+            new_rel
+                .push(rel.row(row).to_vec().into_boxed_slice(), rel.prob(row))
+                .expect("row valid on original relation");
         }
         out.add_relation(new_rel)
             .expect("names unique in source db");
@@ -93,19 +74,50 @@ pub fn reduce_database(db: &Database, q: &Query) -> Database {
     out
 }
 
+/// Semi-join passes between every ordered pair of atoms sharing variables,
+/// until no atom's survivor list shrinks. `survivors[i]` holds candidate
+/// row ordinals of atom `i` (ascending) and is reduced in place; an atom
+/// that could not be prepared (`None`) has no survivors.
+///
+/// This is the engine's one semi-join reducer: Optimization 3 seeds it
+/// with the rows passing each atom's selections, and the top-k restricted
+/// phase ([`crate::topk`]) additionally with the surviving answer groups.
+pub(crate) fn semijoin_fixpoint(
+    q: &Query,
+    preps: &[Option<&PreparedAtom>],
+    survivors: &mut [Vec<u32>],
+) {
+    for (rows, prep) in survivors.iter_mut().zip(preps) {
+        if prep.is_none() {
+            rows.clear();
+        }
+    }
+    let atoms = q.atoms();
+    loop {
+        let mut changed = false;
+        for i in 0..atoms.len() {
+            for j in 0..atoms.len() {
+                if i == j {
+                    continue;
+                }
+                let shared = shared_vars(&atoms[i], &atoms[j]);
+                if shared.is_empty() {
+                    continue;
+                }
+                changed |= semijoin_pass(preps, i, j, &shared, survivors);
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+}
+
 /// Rows of the atom's relation passing constant/equality/predicate filters.
 ///
 /// Constant and repeated-variable filters compare vids on the encoded
 /// columns; order/pattern predicates run on the stored values.
-fn initial_survivors(
-    db: &Database,
-    q: &Query,
-    atom: &Atom,
-    prep: Option<&PreparedAtom>,
-) -> Vec<u32> {
-    let Some(prep) = prep else {
-        return Vec::new();
-    };
+fn initial_survivors(db: &Database, q: &Query, atom: &Atom, prep: &PreparedAtom) -> Vec<u32> {
     let rel = db.relation(prep.rel);
     let shape = ScanShape::of(q, atom);
     let mut out = Vec::new();
@@ -147,7 +159,7 @@ fn pack_key(row: &[Vid], cols: impl Iterator<Item = usize>) -> u128 {
 /// Merge-based: atom `j`'s distinct keys are sorted once and atom `i`'s
 /// rows are kept by binary search — integer comparisons only.
 fn semijoin_pass(
-    preps: &[Option<PreparedAtom>],
+    preps: &[Option<&PreparedAtom>],
     i: usize,
     j: usize,
     shared: &[(usize, usize)],
@@ -161,36 +173,33 @@ fn semijoin_pass(
         return true;
     }
     // Non-empty survivor lists imply the atoms were prepared.
-    let pi = preps[i].as_ref().expect("survivors imply prepared atom");
-    let pj = preps[j].as_ref().expect("survivors imply prepared atom");
-    fn row_of(p: &PreparedAtom, r: u32) -> &[Vid] {
-        &p.cells[r as usize * p.arity..(r as usize + 1) * p.arity]
-    }
+    let pi = preps[i].expect("survivors imply prepared atom");
+    let pj = preps[j].expect("survivors imply prepared atom");
 
     let before = survivors[i].len();
     if shared.len() <= 4 {
         let mut keys_j: Vec<u128> = survivors[j]
             .iter()
-            .map(|&r| pack_key(row_of(pj, r), shared.iter().map(|&(_, c)| c)))
+            .map(|&r| pack_key(pj.row(r), shared.iter().map(|&(_, c)| c)))
             .collect();
         keys_j.sort_unstable();
         keys_j.dedup();
         survivors[i].retain(|&r| {
-            let key = pack_key(row_of(pi, r), shared.iter().map(|&(c, _)| c));
+            let key = pack_key(pi.row(r), shared.iter().map(|&(c, _)| c));
             keys_j.binary_search(&key).is_ok()
         });
     } else {
         let mut keys_j: Vec<RowKey> = survivors[j]
             .iter()
             .map(|&r| {
-                let row = row_of(pj, r);
+                let row = pj.row(r);
                 RowKey::from_fn(shared.len(), |s| row[shared[s].1])
             })
             .collect();
         keys_j.sort_unstable();
         keys_j.dedup();
         survivors[i].retain(|&r| {
-            let row = row_of(pi, r);
+            let row = pi.row(r);
             let key = RowKey::from_fn(shared.len(), |s| row[shared[s].0]);
             keys_j.binary_search(&key).is_ok()
         });
@@ -257,14 +266,15 @@ mod tests {
     }
 
     #[test]
-    fn unrelated_relations_copied() {
+    fn reduced_database_holds_only_query_relations() {
         let mut db = chain_db();
         let z = db.create_relation("Z", 1).unwrap();
         db.relation_mut(z).push(tuple([42]), 0.25).unwrap();
         let q = parse_query("q(a, d) :- R(a, b), S(b, c), T(c, d)").unwrap();
         let red = reduce_database(&db, &q);
-        assert_eq!(red.relation_by_name("Z").unwrap().len(), 1);
-        assert_eq!(red.relation_by_name("Z").unwrap().prob(0), 0.25);
+        let mut names: Vec<&str> = red.relations().map(|(_, rel)| rel.name()).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["R", "S", "T"]);
     }
 
     #[test]

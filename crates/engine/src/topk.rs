@@ -45,21 +45,30 @@
 //!
 //! ## Restricted re-evaluation
 //!
-//! The surviving groups' head-variable values become per-atom vid
-//! membership filters (`ScanFilter`) for the remaining plans, then a
-//! semi-join reduction sweep propagates them through join variables into
-//! the atoms holding no head variable (the middle of a chain): each sweep
-//! intersects, per variable, the value sets surviving in every atom
-//! containing it, and refilters. A filtered scan only removes rows that
-//! participate in no full join producing a surviving answer; every row
-//! contributing to a surviving group passes (its variable values occur in
-//! all the co-rows of the same full join, which pass by induction), so
-//! each surviving group's row multiset — and therefore its folded score —
-//! is unchanged at every plan node. The removed rows can't leak into a
-//! surviving fold either: a minimal plan eliminates a variable only after
-//! joining every atom containing it, so a removed row — dangling on some
-//! variable — is dropped at that variable's join (or its fold group is,
-//! carrying the dangling value) before reaching the root. Two node shapes could still reassociate float products under the
+//! The remaining plans are evaluated over per-atom survivor rows from the
+//! engine's one semi-join reducer, the fixpoint of Optimization 3
+//! ([`crate::semijoin`]). Each atom is seeded with the rows that pass its
+//! scan filters and whose head-variable vids occur among the surviving
+//! answer groups; the pairwise semi-join passes then propagate that
+//! restriction through the join variables into atoms holding no head
+//! variable (the middle of a chain). Restricted scans read exactly the
+//! survivor rows through the same scoring and canonicalization as a full
+//! scan.
+//!
+//! A removed row participates in no full join producing a surviving
+//! answer: it either fails the head seed, or — inductively — has no
+//! partner in some neighbouring atom's survivors on their shared
+//! variables. Every row contributing to a surviving group passes (its
+//! variable values agree with all the co-rows of the same full join,
+//! which pass by induction), so each surviving group's row multiset — and
+//! therefore its folded score — is unchanged at every plan node. The
+//! removed rows can't leak into a surviving fold either: a minimal plan
+//! eliminates a variable only after joining every atom containing it, so
+//! a removed row is dropped at a join on the variables it dangles on (or
+//! its fold group is, carrying the dangling values) before reaching the
+//! root.
+//!
+//! Two node shapes could still reassociate float products under the
 //! filtered cardinalities and are evaluated unrestricted instead (shared
 //! with the first plan's memo): joins of three or more inputs (the greedy
 //! [`join_order`] may re-associate) and projections eliminating two or
@@ -77,17 +86,18 @@
 //! pruned); the result contract is unchanged.
 
 use crate::exec::{
-    decode_answers, eval_node, order_plans_by_cost, scan_atom_filtered, EvalCtx, ExecError,
-    ExecOptions, ScanFilter, Semantics, ShRel,
+    decode_answers, eval_node, order_plans_by_cost, scan_atom, EvalCtx, ExecError, ExecOptions,
+    Semantics, ShRel,
 };
 use crate::prepare::{prepare_atoms, PreparedAtom, ScanShape};
 use crate::rel::{
     join_aux_par, join_many_par, join_order, min_into_matching_par, min_into_par,
-    project_bounds_par, project_det_par, project_max_par, project_prob_par, Par, Rel,
+    project_bounds_par, project_node, Par, Rel,
 };
+use crate::semijoin::semijoin_fixpoint;
 use lapush_core::{NodeKind, PlanId, PlanStore};
 use lapush_query::{Query, Term, Var};
-use lapush_storage::{Database, FxHashMap, FxHashSet, Value, Vid};
+use lapush_storage::{Database, FxHashMap, Value, Vid};
 use std::sync::Arc;
 
 /// One node's bounds pair from the `[lo, hi]` pass: the relation carrying
@@ -139,13 +149,11 @@ pub struct TopkEval<'a> {
     plans: Vec<PlanId>,
     pos: usize,
     ctx: EvalCtx,
-    /// Memo of restricted (survivor-filtered) node results, valid across
+    /// Memo of restricted (survivor-row) node results, valid across
     /// plans because the survivor set is fixed after construction.
     restricted: FxHashMap<PlanId, ShRel>,
-    /// Per-atom scan filters (empty sets ⇒ the atom is unfiltered).
-    filters: Vec<ScanFilter>,
-    /// Per-node memo of "subtree contains a filtered atom".
-    affected: FxHashMap<PlanId, bool>,
+    /// Per-atom survivor row ordinals (ascending) read by restricted scans.
+    survivors: Vec<Vec<u32>>,
     /// True when pruning engaged; false runs the exhaustive fold.
     pruning: bool,
     /// Candidate groups (survivors, or all groups when not pruning) with
@@ -190,8 +198,7 @@ impl<'a> TopkEval<'a> {
             pos: 1,
             ctx: EvalCtx::new(true, par),
             restricted: FxHashMap::default(),
-            filters: Vec::new(),
-            affected: FxHashMap::default(),
+            survivors: Vec::new(),
             pruning: false,
             acc: Rel::empty(Vec::new()),
             lo: Vec::new(),
@@ -239,8 +246,8 @@ impl<'a> TopkEval<'a> {
         self.stats.evaluated = keep.len() as u64;
         self.stats.pruned = (n - keep.len()) as u64;
         if keep.len() == n {
-            // Nothing pruned: the filters would be full-domain no-ops, so
-            // run the cheaper unrestricted fold.
+            // Nothing pruned: the survivor rows would be every row, so run
+            // the cheaper unrestricted fold.
             self.acc = first_rel.clone();
             self.lo = first_lo.to_vec();
             return;
@@ -261,112 +268,46 @@ impl<'a> TopkEval<'a> {
             surv_lo.push(first_lo[i]);
         }
 
-        // Per-head-variable membership sets over the survivors, attached
-        // to every atom position holding that variable.
-        let mut var_sets: Vec<(Var, Arc<FxHashSet<Vid>>)> = Vec::with_capacity(arity);
-        for (c, &v) in surv.vars.iter().enumerate() {
-            let set: FxHashSet<Vid> = surv.col(c).iter().copied().collect();
-            var_sets.push((v, Arc::new(set)));
-        }
-        self.filters = self
-            .q
-            .atoms()
-            .iter()
-            .map(|atom| {
-                let mut sets = Vec::new();
-                for (ti, term) in atom.terms.iter().enumerate() {
-                    if let Term::Var(u) = term {
-                        if let Some((_, set)) = var_sets.iter().find(|(v, _)| v == u) {
-                            sets.push((ti, (**set).clone()));
-                        }
-                    }
-                }
-                ScanFilter { sets }
+        // Seed each atom with its filter-passing rows whose head-variable
+        // vids occur among the surviving groups, then run the shared
+        // semi-join fixpoint over those survivor rows.
+        let head_vids: Vec<Vec<Vid>> = (0..arity)
+            .map(|c| {
+                let mut vids = surv.col(c).to_vec();
+                vids.sort_unstable();
+                vids.dedup();
+                vids
             })
             .collect();
-        self.semijoin_reduce();
+        let mut survivors: Vec<Vec<u32>> = Vec::with_capacity(self.prepared.len());
+        for (atom, prep) in self.q.atoms().iter().zip(&self.prepared) {
+            let checks: Vec<(usize, &[Vid])> = atom
+                .terms
+                .iter()
+                .enumerate()
+                .filter_map(|(c, t)| match t {
+                    Term::Var(v) => surv.col_of(*v).map(|h| (c, head_vids[h].as_slice())),
+                    Term::Const(_) => None,
+                })
+                .collect();
+            let mut rows = Vec::new();
+            let shape = ScanShape::of(self.q, atom);
+            prep.for_each_surviving_row(self.db.relation(prep.rel), &shape, |i, row| {
+                if checks
+                    .iter()
+                    .all(|(c, vids)| vids.binary_search(&row[*c]).is_ok())
+                {
+                    rows.push(i);
+                }
+            });
+            survivors.push(rows);
+        }
+        let preps: Vec<Option<&PreparedAtom>> = self.prepared.iter().map(Some).collect();
+        semijoin_fixpoint(self.q, &preps, &mut survivors);
+        self.survivors = survivors;
         self.pruning = true;
         self.acc = surv;
         self.lo = surv_lo;
-    }
-
-    /// Tighten the per-atom filters by semi-join reduction: sweep the base
-    /// atoms under the current filters, collect each variable's surviving
-    /// value set, intersect across the atoms sharing the variable, and
-    /// refilter — so the head-variable restriction propagates through join
-    /// variables into atoms that hold no head variable at all (the middle
-    /// of a chain). A row removed here has some variable value absent from
-    /// a neighboring atom's surviving rows, so it participates in no full
-    /// join with a surviving answer — and because minimal plans eliminate
-    /// a variable only after joining every atom containing it, such a row
-    /// is dropped at a join (or its fold group is) before its probability
-    /// can reach a surviving group's score: the surviving groups' row
-    /// multisets, fold orders, and score bits are unchanged (see module
-    /// docs). Sweeps are capped at the atom count (a chain's diameter) and
-    /// cost one hash-probe pass over the base rows each.
-    fn semijoin_reduce(&mut self) {
-        let atoms = self.q.atoms();
-        let sweeps = atoms.len().min(4);
-        let mut prev_sizes: Vec<(Var, usize)> = Vec::new();
-        for _ in 0..sweeps {
-            let mut var_allowed: Vec<(Var, FxHashSet<Vid>)> = Vec::new();
-            for (ai, atom) in atoms.iter().enumerate() {
-                let prep = &self.prepared[ai];
-                let rel = self.db.relation(prep.rel);
-                let shape = ScanShape::of(self.q, atom);
-                let positions: Vec<(usize, Var)> = atom
-                    .terms
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(ti, t)| match t {
-                        Term::Var(v) => Some((ti, *v)),
-                        Term::Const(_) => None,
-                    })
-                    .collect();
-                let mut local: Vec<FxHashSet<Vid>> = vec![FxHashSet::default(); positions.len()];
-                let filter = &self.filters[ai];
-                prep.for_each_surviving_row(rel, &shape, |_, row| {
-                    for (c, set) in &filter.sets {
-                        if !set.contains(&row[*c]) {
-                            return;
-                        }
-                    }
-                    for (slot, (c, _)) in local.iter_mut().zip(&positions) {
-                        slot.insert(row[*c]);
-                    }
-                });
-                for (seen, &(_, v)) in local.into_iter().zip(&positions) {
-                    match var_allowed.iter_mut().find(|(u, _)| *u == v) {
-                        Some((_, acc)) => acc.retain(|vid| seen.contains(vid)),
-                        None => var_allowed.push((v, seen)),
-                    }
-                }
-            }
-            for (ai, atom) in atoms.iter().enumerate() {
-                let sets = atom
-                    .terms
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(ti, t)| match t {
-                        Term::Var(v) => var_allowed
-                            .iter()
-                            .find(|(u, _)| u == v)
-                            .map(|(_, set)| (ti, set.clone())),
-                        Term::Const(_) => None,
-                    })
-                    .collect();
-                self.filters[ai] = ScanFilter { sets };
-            }
-            // Fixpoint: a sweep that shrank no variable's set cannot
-            // change the filters further (any sweep count is sound — this
-            // only skips no-op passes).
-            let sizes: Vec<(Var, usize)> =
-                var_allowed.iter().map(|(v, set)| (*v, set.len())).collect();
-            if sizes == prev_sizes {
-                break;
-            }
-            prev_sizes = sizes;
-        }
     }
 
     /// Plans not yet folded into the candidates' scores.
@@ -536,53 +477,23 @@ impl<'a> TopkEval<'a> {
         Ok(Some(pair))
     }
 
-    /// True when the subtree under `id` scans a filtered atom — i.e. a
-    /// restricted evaluation could differ from the unrestricted one.
-    fn is_affected(&mut self, id: PlanId) -> bool {
-        if let Some(&hit) = self.affected.get(&id) {
-            return hit;
-        }
-        let store = self.store;
-        let hit = match &store.node(id).kind {
-            NodeKind::Scan { atom } => !self.filters[*atom].sets.is_empty(),
-            NodeKind::Project { input } => self.is_affected(*input),
-            NodeKind::Join { inputs } | NodeKind::Min { inputs } => {
-                inputs.iter().any(|&c| self.is_affected(c))
-            }
-        };
-        self.affected.insert(id, hit);
-        hit
-    }
-
-    /// Evaluate a node restricted to the survivor filters. Surviving
-    /// groups come out bit-identical to the unrestricted evaluation (see
-    /// module docs); node shapes where that argument fails fall back to
-    /// the full evaluation, sharing the first plan's memo.
+    /// Evaluate a node restricted to the survivor rows. Surviving groups
+    /// come out bit-identical to the unrestricted evaluation (see module
+    /// docs); node shapes where that argument fails fall back to the full
+    /// evaluation, sharing the first plan's memo.
     fn restricted_eval(&mut self, id: PlanId) -> Result<ShRel, ExecError> {
-        if !self.is_affected(id) {
-            return eval_node(
-                self.db,
-                &self.prepared,
-                self.q,
-                self.store,
-                id,
-                self.opts,
-                &mut self.ctx,
-            );
-        }
         if let Some(hit) = self.restricted.get(&id) {
             return Ok(Arc::clone(hit));
         }
         let store = self.store;
         let node = store.node(id);
         let result: ShRel = match &node.kind {
-            NodeKind::Scan { atom } => Arc::new(scan_atom_filtered(
+            NodeKind::Scan { atom } => Arc::new(scan_atom(
                 self.db,
                 &self.prepared[*atom],
-                self.q,
-                &self.q.atoms()[*atom],
-                &self.filters[*atom],
-                self.opts,
+                &ScanShape::of(self.q, &self.q.atoms()[*atom]),
+                Some(&self.survivors[*atom]),
+                self.opts.semantics,
                 self.ctx.par,
                 &mut self.ctx.scratch,
             )),
@@ -597,17 +508,13 @@ impl<'a> TopkEval<'a> {
                     return self.unrestricted(id);
                 }
                 let child = self.restricted_eval(*input)?;
-                Arc::new(match self.opts.semantics {
-                    Semantics::Probabilistic => {
-                        project_prob_par(&child, &keep, self.ctx.par, &mut self.ctx.scratch)
-                    }
-                    Semantics::LowerBound => {
-                        project_max_par(&child, &keep, self.ctx.par, &mut self.ctx.scratch)
-                    }
-                    Semantics::Deterministic => {
-                        project_det_par(&child, &keep, self.ctx.par, &mut self.ctx.scratch)
-                    }
-                })
+                Arc::new(project_node(
+                    &child,
+                    &keep,
+                    self.opts.semantics,
+                    self.ctx.par,
+                    &mut self.ctx.scratch,
+                ))
             }
             NodeKind::Join { inputs } if inputs.len() <= 2 => {
                 let inputs = inputs.clone();
@@ -808,6 +715,42 @@ mod tests {
         let q = parse_query("q :- R(x), S(x), T(x, y), U(y)").unwrap();
         let got = assert_topk_matches(&db, &q, 1, ExecOptions::default());
         assert_eq!(got.evaluated, 1);
+    }
+
+    #[test]
+    fn survivors_restrict_on_shared_variable_pairs() {
+        // `R` and `S` share (x, y). The top group a = 0 has a joining row
+        // (0, 0, 0) and a row (0, 1, 0) whose x and y each occur in `S`
+        // but never together: a per-variable filter keeps it, the
+        // pairwise fixpoint drops it.
+        let mut db = Database::new();
+        let r = db.create_relation("R", 3).unwrap();
+        let s = db.create_relation("S", 3).unwrap();
+        let t = db.create_relation("T", 1).unwrap();
+        db.relation_mut(r).push(tuple([0, 0, 0]), 0.9).unwrap();
+        db.relation_mut(r).push(tuple([0, 1, 0]), 0.9).unwrap();
+        for a in 1..20 {
+            db.relation_mut(r)
+                .push(tuple([a, a % 2, a % 2]), prob(a as u64) * 0.5)
+                .unwrap();
+        }
+        for (x, y, z) in [(0, 0, 0), (1, 1, 1), (0, 0, 1), (1, 1, 0)] {
+            db.relation_mut(s).push(tuple([x, y, z]), 0.9).unwrap();
+        }
+        db.relation_mut(t).push(tuple([0]), 0.9).unwrap();
+        db.relation_mut(t).push(tuple([1]), 0.8).unwrap();
+        let q = parse_query("q(a) :- R(a, x, y), S(x, y, z), T(z)").unwrap();
+        let shape = QueryShape::of_query(&q);
+        let mut store = PlanStore::new();
+        let roots: Vec<PlanId> = minimal_plans(&shape)
+            .iter()
+            .map(|p| store.intern_plan(p))
+            .collect();
+        let eval = TopkEval::new(&db, &q, &store, &roots, 1, ExecOptions::default()).unwrap();
+        assert!(eval.pruning, "{:?}", eval.stats);
+        assert!(eval.survivors[0].contains(&0));
+        assert!(!eval.survivors[0].contains(&1), "dangling pair kept");
+        assert_topk_matches(&db, &q, 1, ExecOptions::default());
     }
 
     #[test]

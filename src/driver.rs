@@ -510,6 +510,32 @@ mod tests {
     }
 
     #[test]
+    fn opt123_reports_unpreparable_atoms() {
+        // The reduced database holds only the query's relations, yet a
+        // missing relation or a wrong-arity atom still surfaces as the
+        // same typed error as on the unreduced path.
+        let db = rst_db();
+        let opts = RankOptions {
+            opt: OptLevel::Opt123,
+            ..RankOptions::default()
+        };
+        let q = parse_query("q :- R(x), Z(x)").unwrap();
+        assert_eq!(
+            rank_by_dissociation(&db, &q, opts).unwrap_err(),
+            DriverError::Exec(ExecError::UnknownRelation("Z".into()))
+        );
+        let q = parse_query("q :- R(x), S(x)").unwrap();
+        assert_eq!(
+            rank_by_dissociation(&db, &q, opts).unwrap_err(),
+            DriverError::Exec(ExecError::AtomArity {
+                relation: "S".into(),
+                relation_arity: 2,
+                atom_arity: 1,
+            })
+        );
+    }
+
+    #[test]
     fn dissociation_upper_bounds_exact() {
         let db = rst_db();
         let q = parse_query("q :- R(x), S(x, y), T(y)").unwrap();

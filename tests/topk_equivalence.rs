@@ -253,3 +253,81 @@ fn k_zero_and_k_beyond_answer_count() {
         }
     }
 }
+
+/// Deterministic pseudo-random probability in (0, 1).
+fn prob(i: u64) -> f64 {
+    let mut z = i.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+    z ^= z >> 31;
+    ((z % 997) + 1) as f64 / 1000.0
+}
+
+/// A database from `(relation, rows)` lists; row `i` of every relation
+/// gets a distinct pseudo-random probability.
+fn db_of(relations: &[(&str, Vec<Vec<i64>>)]) -> Database {
+    let mut db = Database::new();
+    let mut seq = 0u64;
+    for (name, rows) in relations {
+        let id = db
+            .create_relation(*name, rows[0].len())
+            .expect("fresh name");
+        for row in rows {
+            let row: Box<[Value]> = row.iter().map(|&v| Value::Int(v)).collect();
+            db.relation_mut(id).push(row, prob(seq)).expect("valid row");
+            seq += 1;
+        }
+    }
+    db
+}
+
+/// [`check_engine`] on a fixed database, plus: pruning engaged at `k = 1`.
+fn check_engine_prunes(db: &Database, q: &Query) {
+    check_engine(db, q, &[1, 3, 1000]).unwrap();
+    let schema = SchemaInfo::from_query(q);
+    let set = minimal_plan_set_opts(q, &schema, EnumOptions::default());
+    let res = propagation_score_topk(db, q, &set.store, &set.roots, 1, ExecOptions::default())
+        .expect("topk");
+    assert!(
+        res.stats.pruned > 0,
+        "expected pruning, got {:?}",
+        res.stats
+    );
+}
+
+/// Atoms sharing two variables: the semi-join reducer keys on the pair,
+/// so an `R` row whose `x` and `y` each occur in `S`, but never together,
+/// is removed from the restricted phase — the ranking must not notice.
+#[test]
+fn two_shared_variables_restrict_on_the_pair() {
+    let q = parse_query("q(a) :- R(a, x, y), S(x, y, z), T(z)").unwrap();
+    let mut r: Vec<Vec<i64>> = (0..40).map(|a| vec![a, a % 5, a % 3]).collect();
+    // x = 1 and y = 0 each occur in S, the pair (1, 0) never does.
+    r.push(vec![40, 1, 0]);
+    let s: Vec<Vec<i64>> = (0..5)
+        .flat_map(|x| (0..3).map(move |y| (x, y)))
+        .filter(|(x, y)| (x + y) % 2 == 0)
+        .flat_map(|(x, y)| [vec![x, y, (x + y) % 4], vec![x, y, (x * y) % 4]])
+        .collect::<std::collections::BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let t: Vec<Vec<i64>> = (0..4).map(|z| vec![z]).collect();
+    let db = db_of(&[("R", r), ("S", s), ("T", t)]);
+    check_engine_prunes(&db, &q);
+}
+
+/// A cyclic triangle through the head variable: the fixpoint reduces `R`
+/// and `T` against each other on `a` as well as through `S`.
+#[test]
+fn cyclic_triangle_matches_exhaustive_prefix() {
+    let q = parse_query("q(a) :- R(a, x), S(x, y), T(y, a)").unwrap();
+    let r: Vec<Vec<i64>> = (0..30)
+        .flat_map(|a| [vec![a, a % 6], vec![a, (a + 2) % 6]])
+        .collect();
+    let s: Vec<Vec<i64>> = (0..6)
+        .flat_map(|x| [vec![x, x % 4], vec![x, (x + 1) % 4]])
+        .collect();
+    let t: Vec<Vec<i64>> = (0..24)
+        .flat_map(|a| [vec![a % 4, a], vec![(a + 3) % 4, a]])
+        .collect();
+    let db = db_of(&[("R", r), ("S", s), ("T", t)]);
+    check_engine_prunes(&db, &q);
+}
