@@ -7,9 +7,11 @@
 //! join) that streams over whole columns or packed-key buffers is
 //! extracted into a *kernel*:
 //!
-//! * [`pack_keys`] / [`pack_rekey`] — build the `(u128, u32)` packed-key
-//!   buffer ([`Key`]) by streaming whole columns, width-specialized for
-//!   1–4 key columns (no per-row iteration over a column *list*);
+//! * [`pack_keys`] / [`pack_rows`] — build the `(u128, u32)` packed-key
+//!   buffer ([`Key`]), width-specialized for 1–4 key columns (no per-row
+//!   iteration over a column *list*): `pack_keys` streams rows in storage
+//!   order, `pack_rows` gathers them in a given order (a kept key-sorted
+//!   permutation, or a tie run being re-keyed);
 //! * [`run_end`] — run-boundary detection: find the end of a run of
 //!   equal packed keys;
 //! * [`gather_u32`] — apply a row permutation to a `Vid` column
@@ -137,47 +139,54 @@ pub fn pack_keys(cols: &[&[Vid]], lo: u32, hi: u32, out: &mut [Key]) {
     }
 }
 
-/// Re-pack existing sort entries at a deeper key offset: for each entry
-/// of `src` (in order), append `(pack of src[i].row over cols, src[i].row)`
-/// to `out`. `cols` are the already-sliced columns of the deeper level,
-/// at most four. This is the tie-resolution kernel: the rows are a
-/// permutation, so the column reads are gathers, but the key composition
-/// is the same width-specialized shift/or chain as [`pack_keys`].
-pub fn pack_rekey(cols: &[&[Vid]], src: &[Key], out: &mut Vec<Key>) {
+/// Pack the key columns of the given rows, in the given order: `out` is
+/// cleared and refilled with `(pack of row over cols, row)` for each row
+/// of `rows`. `cols` are the already-sliced key columns, at most four.
+///
+/// Two callers: re-packing a relation through a row order kept from an
+/// earlier sort on the same key (the result is that sort's key buffer,
+/// without sorting again), and tie resolution, which re-keys a run of sort
+/// entries by the next four key columns. The rows are a permutation, so
+/// the column reads are gathers, but the key composition is the same
+/// width-specialized shift/or chain as [`pack_keys`].
+pub fn pack_rows<I>(cols: &[&[Vid]], rows: I, out: &mut Vec<Key>)
+where
+    I: ExactSizeIterator<Item = u32>,
+{
     debug_assert!(cols.len() <= 4, "a u128 key holds at most four vids");
     out.clear();
-    out.reserve(src.len());
+    out.reserve(rows.len());
     match cols {
-        [] => out.extend(src.iter().map(|e| Key { k: 0, row: e.row })),
-        [c0] => out.extend(src.iter().map(|e| Key {
-            k: c0[e.row as usize] as u128,
-            row: e.row,
+        [] => out.extend(rows.map(|row| Key { k: 0, row })),
+        [c0] => out.extend(rows.map(|row| Key {
+            k: c0[row as usize] as u128,
+            row,
         })),
-        [c0, c1] => out.extend(src.iter().map(|e| {
-            let r = e.row as usize;
+        [c0, c1] => out.extend(rows.map(|row| {
+            let i = row as usize;
             Key {
-                k: ((c0[r] as u128) << 32) | c1[r] as u128,
-                row: e.row,
+                k: ((c0[i] as u128) << 32) | c1[i] as u128,
+                row,
             }
         })),
-        [c0, c1, c2] => out.extend(src.iter().map(|e| {
-            let r = e.row as usize;
+        [c0, c1, c2] => out.extend(rows.map(|row| {
+            let i = row as usize;
             Key {
-                k: ((c0[r] as u128) << 64) | ((c1[r] as u128) << 32) | c2[r] as u128,
-                row: e.row,
+                k: ((c0[i] as u128) << 64) | ((c1[i] as u128) << 32) | c2[i] as u128,
+                row,
             }
         })),
-        [c0, c1, c2, c3] => out.extend(src.iter().map(|e| {
-            let r = e.row as usize;
+        [c0, c1, c2, c3] => out.extend(rows.map(|row| {
+            let i = row as usize;
             Key {
-                k: ((c0[r] as u128) << 96)
-                    | ((c1[r] as u128) << 64)
-                    | ((c2[r] as u128) << 32)
-                    | c3[r] as u128,
-                row: e.row,
+                k: ((c0[i] as u128) << 96)
+                    | ((c1[i] as u128) << 64)
+                    | ((c2[i] as u128) << 32)
+                    | c3[i] as u128,
+                row,
             }
         })),
-        _ => unreachable!("pack_rekey called with more than four columns"),
+        _ => unreachable!("pack_rows called with more than four columns"),
     }
 }
 
@@ -326,9 +335,9 @@ mod tests {
                 assert_eq!(e.k, want, "width {w} row {i}");
                 assert_eq!(e.row, i as u32);
             }
-            // pack_rekey over the identity permutation agrees.
+            // pack_rows over the identity order agrees.
             let mut re = Vec::new();
-            pack_rekey(cols, &out, &mut re);
+            pack_rows(cols, 0..3, &mut re);
             assert_eq!(re, out, "width {w}");
         }
     }

@@ -10,7 +10,9 @@
 //!
 //! * **joins** merge the two inputs on their shared-variable key (inputs
 //!   whose key is a column prefix are consumed in place; otherwise a
-//!   row-index permutation is key-sorted first),
+//!   row-index permutation is key-sorted first — once per relation and
+//!   key: the relation keeps that row order, and every later join of it
+//!   on the same key only re-packs the key columns through it),
 //! * **projections** are grouped scans over key-sorted runs — independent-OR
 //!   / max / dedup fold over each run of equal group keys, no hash upserts,
 //! * **`min`** is a pointwise merge of two sorted batches, in place on the
@@ -44,6 +46,7 @@ use crate::exec::Semantics;
 use crate::kernels::{self, Key};
 use lapush_query::Var;
 use lapush_storage::{RowKey, Vid};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Operator-level parallelism budget.
 ///
@@ -109,7 +112,7 @@ pub struct Scratch {
 
 /// An intermediate result: a bag of distinct variable bindings with scores,
 /// stored columnar and in canonical (lexicographic) row order.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Rel {
     /// Column variables, in order.
     pub vars: Vec<Var>,
@@ -117,35 +120,107 @@ pub struct Rel {
     cols: Vec<Vec<Vid>>,
     /// Score of each row.
     scores: Vec<f64>,
+    /// Row orders kept from earlier non-prefix key sorts of `cols`.
+    orders: SortOrders,
+}
+
+impl std::fmt::Debug for Rel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Rel")
+            .field("vars", &self.vars)
+            .field("cols", &self.cols)
+            .field("scores", &self.scores)
+            .finish()
+    }
+}
+
+/// The key-sorted row orders of one relation, keyed by the key's column
+/// indices (not variables: [`Rel::vars`] is public). An order is the
+/// unique `(key, row)` order, so re-packing through it reproduces the
+/// sort's key buffer exactly. It depends only on the columns: every
+/// `&mut Rel` path that rewrites them clears the list, score updates keep
+/// it. Memo-shared relations are joined from several pool tasks at once,
+/// so the lock is held only to look up or insert, never while sorting.
+#[derive(Default)]
+struct SortOrders(Mutex<Vec<KeptOrder>>);
+
+/// A key's column indices and the relation's row order sorted on them.
+type KeptOrder = (Box<[usize]>, Arc<[u32]>);
+
+impl SortOrders {
+    fn entries(&self) -> MutexGuard<'_, Vec<KeptOrder>> {
+        // Entries are complete when pushed, so a poisoned list is intact.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, key: &[usize]) -> Option<Arc<[u32]>> {
+        let entries = self.entries();
+        entries
+            .iter()
+            .find(|(k, _)| **k == *key)
+            .map(|(_, o)| Arc::clone(o))
+    }
+
+    /// Keep `order` for `key` unless a concurrent sort already did (the
+    /// orders are equal, so the loser's copy is dropped).
+    fn insert(&self, key: &[usize], order: Arc<[u32]>) {
+        let mut entries = self.entries();
+        if !entries.iter().any(|(k, _)| **k == *key) {
+            entries.push((key.into(), order));
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
+}
+
+impl Clone for SortOrders {
+    /// The clone's columns are identical, so it shares the orders.
+    fn clone(&self) -> Self {
+        SortOrders(Mutex::new(self.entries().clone()))
+    }
+}
+
+impl PartialEq for SortOrders {
+    /// A cache: never part of a relation's value.
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl Rel {
-    /// Empty relation with the given columns.
-    pub fn empty(vars: Vec<Var>) -> Self {
-        let cols = vec![Vec::new(); vars.len()];
+    /// A relation over these columns, with no kept sort orders.
+    fn from_parts(vars: Vec<Var>, cols: Vec<Vec<Vid>>, scores: Vec<f64>) -> Self {
         Rel {
             vars,
             cols,
-            scores: Vec::new(),
+            scores,
+            orders: SortOrders::default(),
         }
+    }
+
+    /// Empty relation with the given columns.
+    pub fn empty(vars: Vec<Var>) -> Self {
+        let cols = vec![Vec::new(); vars.len()];
+        Rel::from_parts(vars, cols, Vec::new())
     }
 
     /// Empty relation with room for `cap` rows (scans know their input
     /// size; avoids grow-and-move during the fill).
     pub fn with_capacity(vars: Vec<Var>, cap: usize) -> Self {
         let cols = vec![Vec::with_capacity(cap); vars.len()];
-        Rel {
-            vars,
-            cols,
-            scores: Vec::with_capacity(cap),
-        }
+        Rel::from_parts(vars, cols, Vec::with_capacity(cap))
     }
 
     /// Build from unsorted columns: sorts into canonical order and combines
     /// duplicate rows with `max` (set semantics keeps the strongest
     /// derivation).
     pub fn from_unsorted_columns(vars: Vec<Var>, cols: Vec<Vec<Vid>>, scores: Vec<f64>) -> Self {
-        let mut rel = Rel { vars, cols, scores };
+        let mut rel = Rel::from_parts(vars, cols, scores);
         rel.canonicalize(Par::serial(), &mut Scratch::default());
         rel
     }
@@ -204,6 +279,7 @@ impl Rel {
             col.push(v);
         }
         self.scores.push(score);
+        self.orders.clear();
     }
 
     /// Score of the row with exactly these vids, via binary search over the
@@ -317,6 +393,7 @@ impl Rel {
                 kernels::gather_u32(col, &keep, &mut tmp);
                 std::mem::swap(col, &mut tmp);
             }
+            self.orders.clear();
         }
         self.scores = scores;
         if let Some(a) = aux {
@@ -340,6 +417,35 @@ impl Rel {
 
     #[cfg(not(debug_assertions))]
     fn assert_canonical(&self) {}
+
+    /// Fill `keys` with this relation's rows in `(key, row)` order on the
+    /// key columns `key` (the [`sort_rows`] buffer). A prefix key is
+    /// already in canonical order and only packs. Any other key is sorted
+    /// on first use and the row order kept, so later calls on the same key
+    /// re-pack through it in O(n) instead of sorting again.
+    fn key_order(&self, key: &[usize], par: Par, keys: &mut Vec<Key>, ties: &mut Vec<Vec<Key>>) {
+        let cols: Vec<&[Vid]> = key.iter().map(|&c| self.col(c)).collect();
+        if key.iter().copied().eq(0..key.len()) {
+            return sort_rows(&cols, self.len(), true, par, keys, ties);
+        }
+        if let Some(order) = self.orders.get(key) {
+            let packed = &cols[..cols.len().min(4)];
+            return kernels::pack_rows(packed, order.iter().copied(), keys);
+        }
+        sort_rows(&cols, self.len(), false, par, keys, ties);
+        self.orders
+            .insert(key, keys.iter().map(|e| e.row).collect());
+    }
+
+    /// Number of kept row orders for `key` (at most one).
+    #[cfg(test)]
+    fn kept_orders(&self, key: &[usize]) -> usize {
+        self.orders
+            .entries()
+            .iter()
+            .filter(|(k, _)| **k == *key)
+            .count()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -387,7 +493,7 @@ fn sort_rows(
 
 /// Sort the equal-packed-prefix runs of `keys` by the columns from `depth`
 /// on (recursing in groups of four), finally by row index. Each recursion
-/// level reuses one scratch buffer from `ties` ([`kernels::pack_rekey`]
+/// level reuses one scratch buffer from `ties` ([`kernels::pack_rows`]
 /// clears it), so tie resolution allocates nothing in steady state.
 fn resolve_ties(
     cols: &[&[Vid]],
@@ -405,7 +511,8 @@ fn resolve_ties(
         let end = kernels::run_end(keys, start);
         if end - start > 1 {
             let mut buf = std::mem::take(&mut ties[level]);
-            kernels::pack_rekey(deeper, &keys[start..end], &mut buf);
+            let rows = keys[start..end].iter().map(|e| e.row);
+            kernels::pack_rows(deeper, rows, &mut buf);
             buf.sort_unstable();
             if depth + 4 < cols.len() {
                 resolve_ties(cols, &mut buf, depth + 4, ties, level + 1);
@@ -551,8 +658,10 @@ fn merge_into<T: Copy + Ord>(a: &[T], b: &[T], out: &mut [T]) {
 ///
 /// A sort-merge join. Each input is brought into join-key order (free when
 /// the key is a column prefix — the canonical sort then already is key
-/// order), matching key blocks are enumerated by a linear merge, and the
-/// cross product of each block pair is emitted. Large outputs are partitioned by key range
+/// order; otherwise sorted once per input and key, and re-packed through
+/// the kept row order by every later join on that key), matching key
+/// blocks are enumerated by a linear merge, and the cross product of each
+/// block pair is emitted. Large outputs are partitioned by key range
 /// (whole blocks, never splitting one) across pool tasks writing
 /// disjoint output ranges.
 pub fn join_par(left: &Rel, right: &Rel, par: Par, scratch: &mut Scratch) -> Rel {
@@ -600,13 +709,12 @@ fn join_impl(
     let mut out_vars = left.vars.clone();
     out_vars.extend(right_only.iter().map(|&ri| right.vars[ri]));
 
-    let lkey_cols: Vec<&[Vid]> = shared.iter().map(|&(li, _)| left.col(li)).collect();
-    let rkey_cols: Vec<&[Vid]> = shared.iter().map(|&(_, ri)| right.col(ri)).collect();
-    let l_presorted = shared.iter().enumerate().all(|(i, &(li, _))| li == i);
-    let r_presorted = shared.iter().enumerate().all(|(i, &(_, ri))| ri == i);
+    let (lkey, rkey): (Vec<usize>, Vec<usize>) = shared.iter().copied().unzip();
+    let lkey_cols: Vec<&[Vid]> = lkey.iter().map(|&li| left.col(li)).collect();
+    let rkey_cols: Vec<&[Vid]> = rkey.iter().map(|&ri| right.col(ri)).collect();
     let Scratch { keys, rkeys, ties } = scratch;
-    sort_rows(&lkey_cols, left.len(), l_presorted, par, keys, ties);
-    sort_rows(&rkey_cols, right.len(), r_presorted, par, rkeys, ties);
+    left.key_order(&lkey, par, keys, ties);
+    right.key_order(&rkey, par, rkeys, ties);
     let (lkeys, rkeys) = (&*keys, &*rkeys);
 
     // Enumerate matching key blocks and their output offsets. Mismatching
@@ -739,11 +847,7 @@ fn join_impl(
         crate::pool::run_scope(par.threads, tasks);
     }
 
-    let mut out = Rel {
-        vars: out_vars,
-        cols: out_cols,
-        scores: out_scores,
-    };
+    let mut out = Rel::from_parts(out_vars, out_cols, out_scores);
     // Join rows are distinct (the key plus both rests determine the pair),
     // but the emission order is (join key, left, right) — restore the
     // canonical lexicographic order.
@@ -1004,11 +1108,7 @@ fn project_fold_impl(
         (out_cols, out_scores, out_aux)
     };
 
-    let out = Rel {
-        vars: keep.to_vec(),
-        cols: out_cols,
-        scores: out_scores,
-    };
+    let out = Rel::from_parts(keep.to_vec(), out_cols, out_scores);
     // Groups were emitted in group-key order, which *is* the canonical
     // order of the output columns; groups are distinct by construction.
     out.assert_canonical();
@@ -1171,6 +1271,7 @@ fn min_into_impl(acc: &mut Rel, next: &Rel, par: Par, scratch: &mut Scratch, kee
     }
     acc.cols = merged_cols;
     acc.scores = merged_scores;
+    acc.orders.clear();
 }
 
 /// Per-tuple minimum across alternative results for the same subquery
@@ -1686,6 +1787,152 @@ mod tests {
         let pm = project_max_par(&r, &[v(0)], Par::serial(), &mut Scratch::default());
         let refolded_max = fold_run_max(&r, 0, 2);
         assert_eq!(refolded_max.to_bits(), score_at(&pm, &[1]).to_bits());
+    }
+
+    /// A canonical relation of `n` pseudo-random rows over `domain`.
+    fn random_rel(vars: &[u32], n: usize, domain: u64, seed: u64) -> Rel {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut r = Rel::with_capacity(vars.iter().map(|&i| v(i)).collect(), n);
+        for _ in 0..n {
+            let row: Vec<Vid> = vars.iter().map(|_| (next() % domain) as Vid).collect();
+            r.push_row(&row, (next() % 1000) as f64 / 1000.0);
+        }
+        r.canonicalize(Par::serial(), &mut Scratch::default());
+        r
+    }
+
+    /// A copy that keeps no row orders.
+    fn cold(r: &Rel) -> Rel {
+        let mut c = r.clone();
+        c.orders.clear();
+        c
+    }
+
+    fn bits(scores: &[f64]) -> Vec<u64> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
+    fn assert_same_bits(got: &Rel, want: &Rel) {
+        assert_eq!(got.vars, want.vars);
+        assert_eq!(got.cols, want.cols);
+        assert_eq!(bits(got.scores()), bits(want.scores()));
+    }
+
+    #[test]
+    fn joins_through_kept_orders_match_cold_joins_bitwise() {
+        // `a` is joined on the 6-column non-prefix key v1..v6 (tie
+        // resolution plus the unpacked tail compare) and on the 1-column
+        // key v3, as the left and as the right input.
+        let a = random_rel(&[0, 1, 2, 3, 4, 5, 6], 300, 3, 1);
+        let partners = [
+            random_rel(&[1, 2, 3, 4, 5, 6], 300, 3, 2),
+            random_rel(&[6, 5, 4, 3, 2, 1, 7], 300, 3, 3),
+            random_rel(&[1, 2, 3, 4, 5, 6, 8], 300, 3, 4),
+            random_rel(&[3, 9], 20, 3, 5),
+        ];
+        let mut scratch = Scratch::default();
+        for _ in 0..2 {
+            for p in &partners {
+                let warm = join_par(&a, p, Par::serial(), &mut scratch);
+                let fresh = join_par(&cold(&a), &cold(p), Par::serial(), &mut scratch);
+                assert!(!fresh.is_empty());
+                assert_same_bits(&warm, &fresh);
+                let warm = join_par(p, &a, Par::serial(), &mut scratch);
+                let fresh = join_par(&cold(p), &cold(&a), Par::serial(), &mut scratch);
+                assert_same_bits(&warm, &fresh);
+            }
+        }
+        assert_eq!(a.kept_orders(&[1, 2, 3, 4, 5, 6]), 1);
+        assert_eq!(a.kept_orders(&[6, 5, 4, 3, 2, 1]), 1);
+        assert_eq!(a.kept_orders(&[3]), 1);
+
+        // The top-k bounds join reuses the same order.
+        let laux: Vec<f64> = a.scores().iter().map(|s| s / 2.0).collect();
+        let p = &partners[1];
+        let raux: Vec<f64> = p.scores().iter().map(|s| s / 3.0).collect();
+        let (warm, warm_aux) = join_aux_par(&a, &laux, p, &raux, Par::serial(), &mut scratch);
+        let (fresh, fresh_aux) = join_aux_par(
+            &cold(&a),
+            &laux,
+            &cold(p),
+            &raux,
+            Par::serial(),
+            &mut scratch,
+        );
+        assert_same_bits(&warm, &fresh);
+        assert_eq!(bits(&warm_aux), bits(&fresh_aux));
+    }
+
+    #[test]
+    fn kept_orders_follow_column_rewrites() {
+        let mut a = rel(
+            &[0, 1],
+            &[(&[1, 10], 0.5), (&[2, 20], 0.4), (&[3, 10], 0.3)],
+        );
+        let b = rel(
+            &[1, 2],
+            &[(&[10, 7], 0.5), (&[20, 8], 0.5), (&[30, 9], 0.5)],
+        );
+        let mut scratch = Scratch::default();
+        let check = |a: &Rel, scratch: &mut Scratch| {
+            let warm = join_par(a, &b, Par::serial(), scratch);
+            assert_same_bits(&warm, &join_par(&cold(a), &b, Par::serial(), scratch));
+            assert_eq!(a.kept_orders(&[1]), 1);
+            warm
+        };
+        check(&a, &mut scratch);
+        // A row that sorts last leaves canonicalization nothing to move:
+        // only `push_row` drops the stale order.
+        a.push_row(&[vid(9), vid(30)], 0.25);
+        a.canonicalize(Par::serial(), &mut scratch);
+        assert!(check(&a, &mut scratch).score_of_row(&[9, 30, 9]).is_some());
+        // A row that sorts first moves every row.
+        a.push_row(&[vid(0), vid(20)], 0.125);
+        a.canonicalize(Par::serial(), &mut scratch);
+        assert_eq!(check(&a, &mut scratch).len(), 5);
+        // In-place score updates keep the order valid.
+        let lower = rel(&[1, 0], &[(&[10, 1], 0.0625)]);
+        min_into_par(&mut a, &lower, Par::serial(), &mut scratch);
+        assert_eq!(score_at(&check(&a, &mut scratch), &[1, 10, 7]), 0.03125);
+        // Merging in next-only keys rewrites the columns.
+        let extra = rel(&[0, 1], &[(&[1, 10], 0.9), (&[4, 30], 0.75)]);
+        min_into_par(&mut a, &extra, Par::serial(), &mut scratch);
+        assert!(check(&a, &mut scratch).score_of_row(&[4, 30, 9]).is_some());
+    }
+
+    #[test]
+    fn concurrent_joins_keep_one_order() {
+        // Root-chunk tasks join the same memo-shared relation on the same
+        // non-prefix key at once: every result must equal the serial join
+        // bitwise, and the relation must keep exactly one order for it.
+        let partners: Vec<Rel> = (0..8)
+            .map(|i| random_rel(&[2, 1, 3], 500, 50, 10 + i))
+            .collect();
+        let shared = random_rel(&[0, 1, 2], 4000, 50, 7);
+        let want: Vec<Rel> = partners
+            .iter()
+            .map(|p| join_par(&shared, p, Par::serial(), &mut Scratch::default()))
+            .collect();
+        for _ in 0..8 {
+            let a = Arc::new(cold(&shared));
+            let tasks: Vec<_> = partners
+                .iter()
+                .map(|p| {
+                    let a = Arc::clone(&a);
+                    move || join_par(&a, p, Par::serial(), &mut Scratch::default())
+                })
+                .collect();
+            for (got, want) in crate::pool::run_scope(4, tasks).iter().zip(&want) {
+                assert_same_bits(got, want);
+            }
+            assert_eq!(a.kept_orders(&[1, 2]), 1);
+        }
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!    fan-outs of uneven tasks) through [`pool::run_scope`] must return
 //!    results identical, element for element, to serial recursive
 //!    execution at every worker count, oversubscribed included.
+//! 4. **Across plan sharing** — `propagation_score` over all minimal plans
+//!    (one memo, shared subplans and their kept sort orders) must be
+//!    *bit-identical* to the pointwise `min` of every plan evaluated alone.
 //!
 //! Scores against the hash-map reference are compared to within `1e-12`
 //! rather than bitwise: the columnar engine folds projection groups in
@@ -483,6 +486,59 @@ fn thread_counts_agree_on_chain_star_tpch() {
         let mc1 = mc_answers_threaded(&db, &q, 200, 7, 1).expect("mc serial");
         let mc4 = mc_answers_threaded(&db, &q, 200, 7, 4).expect("mc t4");
         assert_bitwise(&mc4, &mc1, &format!("{name} mc"));
+    }
+}
+
+/// `propagation_score` over all minimal plans shares one memo across the
+/// plan set: shared subplans evaluate once, and every relation keeps the
+/// row orders its joins sorted, reused by every later join on that key
+/// (from several root-chunk tasks at once when threaded). None of that may
+/// change a bit: the result must equal the pointwise `min_with` of each
+/// plan evaluated alone, with a fresh memo and fresh relations.
+#[test]
+fn plan_sharing_matches_isolated_plans_bitwise() {
+    let mut workloads: Vec<(String, Database, Query)> = Vec::new();
+    for k in 3..=6 {
+        let db = chain_db(k, 150, 40, 1.0, 100 + k as u64).expect("chain db");
+        workloads.push((format!("chain k{k}"), db, chain_query(k)));
+    }
+    for k in 2..=4 {
+        let db = star_db(k, 120, 30, 1.0, 200 + k as u64).expect("star db");
+        workloads.push((format!("star k{k}"), db, star_query(k)));
+    }
+    // Random shapes with more than one minimal plan (a single plan has
+    // nothing to share).
+    for seed in 0..24u64 {
+        let q = random_query(seed, 3 + seed as usize % 3, 4);
+        if minimal_plans(&QueryShape::of_query(&q)).len() > 1 {
+            let db = random_db_for_query(&q, seed ^ 0x5eed, 12, 5, 1.0).expect("random db");
+            workloads.push((format!("random seed {seed}"), db, q));
+        }
+    }
+    for (name, db, q) in &workloads {
+        let plans = minimal_plans(&QueryShape::of_query(q));
+        for threads in [1, 4] {
+            let opts = ExecOptions {
+                semantics: Semantics::Probabilistic,
+                reuse_views: false,
+                threads,
+            };
+            let mut isolated: Option<AnswerSet> = None;
+            for p in &plans {
+                let one = eval_plan(db, q, p, opts).expect("eval plan");
+                match isolated.as_mut() {
+                    Some(acc) => acc.min_with(&one),
+                    None => isolated = Some(one),
+                }
+            }
+            let shared = propagation_score(db, q, &plans, opts).expect("propagation");
+            let isolated = isolated.expect("at least one plan");
+            assert_bitwise(
+                &shared,
+                &isolated,
+                &format!("{name} ({} plans) t{threads}", plans.len()),
+            );
+        }
     }
 }
 

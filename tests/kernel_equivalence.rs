@@ -57,8 +57,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `pack_keys` (widths 0–4, arbitrary `lo..hi` windows) and
-    /// `pack_rekey` (over a shuffled source buffer) match the reference
-    /// shift-and-or packing.
+    /// `pack_rows` (over a shuffled buffer of sort entries) match the
+    /// reference shift-and-or packing.
     #[test]
     fn pack_matches_reference_on_every_path(
         seed in 0u64..1_000_000,
@@ -85,8 +85,33 @@ proptest! {
         kernels::pack_keys(&refs, lo, hi, &mut got);
         prop_assert_eq!(&got, &want, "pack_keys");
         let mut got_rekey = Vec::new();
-        kernels::pack_rekey(&refs, &src, &mut got_rekey);
-        prop_assert_eq!(&got_rekey, &want_rekey, "pack_rekey");
+        kernels::pack_rows(&refs, src.iter().map(|e| e.row), &mut got_rekey);
+        prop_assert_eq!(&got_rekey, &want_rekey, "pack_rows");
+    }
+
+    /// `pack_rows` through a kept key-sorted row order (a `u32`
+    /// permutation; widths 0–6, wider keys pack their first four columns)
+    /// rebuilds the sort's key buffer: each row's packed prefix, in the
+    /// order's sequence, with any stale output content cleared.
+    #[test]
+    fn pack_rows_through_sorted_order_matches_reference(
+        seed in 0u64..1_000_000,
+        width in 0usize..7,
+        n in 0usize..60,
+        domain in 1u64..12,
+    ) {
+        let cols = make_cols(seed, width, n, domain);
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by_key(|&i| (cols.iter().map(|c| c[i as usize]).collect::<Vec<_>>(), i));
+        let prefix = &cols[..width.min(4)];
+        let want: Vec<Key> = order
+            .iter()
+            .map(|&row| Key { k: ref_pack_row(prefix, row as usize), row })
+            .collect();
+        let refs: Vec<&[Vid]> = prefix.iter().map(Vec::as_slice).collect();
+        let mut got = vec![Key { k: 1, row: u32::MAX }; 3];
+        kernels::pack_rows(&refs, order.iter().copied(), &mut got);
+        prop_assert_eq!(&got, &want, "width {}", width);
     }
 
     /// Key widths 5–6 through the same pack-sort-rekey recursion the
@@ -119,7 +144,7 @@ proptest! {
         let mut pos = 0;
         while pos < keys.len() {
             let end = kernels::run_end(&keys, pos);
-            kernels::pack_rekey(&deeper, &keys[pos..end], &mut buf);
+            kernels::pack_rows(&deeper, keys[pos..end].iter().map(|e| e.row), &mut buf);
             buf.sort_unstable();
             for (slot, e) in keys[pos..end].iter_mut().zip(&buf) {
                 slot.row = e.row;
@@ -226,7 +251,7 @@ fn empty_and_single_row_edges() {
     kernels::gather_u32(&[], &[], &mut out);
     assert!(out.is_empty());
     kernels::pack_keys(&[], 0, 0, &mut []);
-    kernels::pack_rekey(&[], empty, &mut Vec::new());
+    kernels::pack_rows(&[], std::iter::empty(), &mut Vec::new());
 
     let one = [Key { k: 9, row: 0 }];
     assert_eq!(kernels::run_end(&one, 0), 1);
